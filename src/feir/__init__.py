@@ -36,11 +36,8 @@ from .losses import (
     expected_pair_inferiority,
     expected_user_utility,
     finite_diff_grad,
-    grad_total_loss,
     mc_estimate,
     penalty_loss,
-    system_losses,
-    total_loss,
 )
 from .metrics import (
     CompetitionMetrics,
@@ -64,6 +61,7 @@ from .optim import (
     coarse_search_learning_rate,
     default_weight_grid,
     fit,
+    loss_and_grad,
     make_training_view,
     sweep,
 )

@@ -21,7 +21,7 @@ import numpy as np
 from . import baselines, datagen, losses, metrics, pareto
 from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
 from .losses import LossWeights
-from .optim import Scaling, TrainConfig, default_weight_grid, fit
+from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
 SOLUTION_COLUMNS = [
     "method", "w1", "w2", "w3", "w4", "d", "epsilon", "tau", "k", "seed",
@@ -148,46 +148,79 @@ def _write_solutions_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _feir_points(scores, method_cfg, k, master_seed, save_dir):
-    naive_sys = metrics.system_metrics(scores.U, scores.S, top_k(scores.U, k))
-    grid_cfg = method_cfg.get("weight_grid")
-    grid = (
-        [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
-    )
+def _naive_runs(scores, cfg, k, naive_counts):
+    yield {}, lambda seed: (naive_counts, None)
+
+
+def _feir_runs(scores, cfg, k, naive_counts):
+    grid_cfg = cfg.get("weight_grid")
+    grid = [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
     base = TrainConfig(
         k=k,
         weights=grid[0],
-        learning_rate=method_cfg.get("learning_rate", 10.0),
-        max_steps=method_cfg.get("max_steps", 2000),
-        convergence_tol=method_cfg.get("convergence_tol", 1e-6),
-        parametrization=method_cfg.get("parametrization", "logits"),
-        scaling=Scaling.from_dict(method_cfg.get("scaling", {"kind": "none"})),
+        learning_rate=cfg.get("learning_rate", 10.0),
+        max_steps=cfg.get("max_steps", 2000),
+        convergence_tol=cfg.get("convergence_tol", 1e-6),
+        parametrization=cfg.get("parametrization", "logits"),
+        scaling=Scaling.from_dict(cfg.get("scaling", {"kind": "none"})),
     )
-    points = []
     for weights in grid:
-        params = {"w1": weights.w1, "w2": weights.w2, "w3": weights.w3, "w4": weights.w4}
-        seed = derive_seed(master_seed, "feir", params, k)
-        config = replace(base, weights=weights, seed=seed)
-        try:
-            trace = fit(scores, config)
-            counts = top_k(trace.final_policy.P, k)
-            point = pareto.make_solution("feir", params, k, seed, scores, counts, naive_sys)
-            _save_artifacts(save_dir, point, counts=counts, policy=trace.final_policy)
-        except Exception as exc:  # noqa: BLE001
-            point = pareto.failed_solution("feir", params, k, seed, f"error: {exc}")
-        points.append(point)
-    return points
+        def solve(seed, weights=weights):
+            policy = fit(scores, replace(base, weights=weights, seed=seed)).final_policy
+            return top_k(policy.P, k), policy
+
+        yield {"w1": weights.w1, "w2": weights.w2, "w3": weights.w3, "w4": weights.w4}, solve
 
 
-def _save_artifacts(save_dir, point, counts=None, policy=None):
+def _shuffle_runs(scores, cfg, k, naive_counts):
+    d = cfg.get("d") or min(3 * k, scores.n)
+    yield {"d": d}, lambda seed: (baselines.shuffle(scores, k, d=d, seed=seed), None)
+
+
+def _ca_runs(scores, cfg, k, naive_counts):
+    for eps in cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]):
+        def solve(seed, eps=eps):
+            ca_cfg = baselines.CAConfig(
+                epsilon=eps,
+                max_iters=cfg.get("max_iters", 20000),
+                marginal_tol=cfg.get("marginal_tol", 1e-9),
+            )
+            policy = baselines.congestion_alleviation(scores, k, ca_cfg)
+            return top_k(policy.P, k), policy
+
+        yield {"epsilon": eps}, solve
+
+
+def _rr_runs(scores, cfg, k, naive_counts):
+    tau = cfg.get("tau", 0.0)
+
+    def solve(seed):
+        rr_cfg = baselines.RRConfig(tau=tau, seed=seed, exclusive=cfg.get("exclusive", True))
+        return baselines.round_robin(scores.U, scores.S, k, rr_cfg), None
+
+    yield {"tau": tau}, solve
+
+
+# Method name -> adapter, in run order. An adapter(scores, method_cfg, k,
+# naive_counts) yields one (params, solve) pair per run, where solve(seed)
+# returns (counts, policy or None).
+METHODS = {
+    "naive": _naive_runs,
+    "feir": _feir_runs,
+    "shuffle": _shuffle_runs,
+    "ca": _ca_runs,
+    "rr": _rr_runs,
+}
+
+
+def _save_artifacts(save_dir, point, counts, policy):
     if save_dir is None:
         return
     stem = f"{point.method}_k{point.k}_" + hashlib.sha256(
         point.params_json().encode()
     ).hexdigest()[:8]
     save_dir.mkdir(parents=True, exist_ok=True)
-    if counts is not None:
-        save_matrix(counts.C, save_dir / f"{stem}_counts.csv")
+    save_matrix(counts.C, save_dir / f"{stem}_counts.csv")
     if policy is not None:
         save_matrix(policy.P, save_dir / f"{stem}_policy.csv")
 
@@ -195,13 +228,18 @@ def _save_artifacts(save_dir, point, counts=None, policy=None):
 def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     """Evaluate every configured (method, hyperparameters, k) combination.
 
-    Appends one solutions.csv row per run; rows are keyed by method, params,
-    k, and seed, so rerunning after an interruption never duplicates work.
-    Failures become rows with an error status and the run continues.
+    Every run is recomputed on each call. Rows are keyed by method, params,
+    k, and seed; a key already in solutions.csv keeps its old row, so a
+    re-run adds no duplicates. solutions.csv is written once, at the end, so
+    an interrupted run leaves it unchanged. Failures become rows with an
+    error status and the run continues.
     """
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; valid methods are {list(METHODS)}")
     scores, _ = _dataset_scores(config)
     master_seed = config.get("seed", 0)
     ks = config.get("ks", DEFAULT_KS)
@@ -218,64 +256,26 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     for k in ks:
         naive_counts = top_k(scores.U, k)
         naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
-        points = []
-        if "naive" in methods:
-            points.append(
-                pareto.make_solution("naive", {}, k, master_seed, scores, naive_counts, naive_sys)
-            )
-            _save_artifacts(save_dir, points[-1], counts=naive_counts)
-        if "feir" in methods:
-            points.extend(_feir_points(scores, methods["feir"], k, master_seed, save_dir))
-        if "shuffle" in methods:
-            cfg = methods["shuffle"]
-            d = cfg.get("d") or min(3 * k, scores.n)
-            params = {"d": d}
-            seed = derive_seed(master_seed, "shuffle", params, k)
-            try:
-                counts = baselines.shuffle(scores, k, d=d, seed=seed)
-                point = pareto.make_solution("shuffle", params, k, seed, scores, counts, naive_sys)
-                _save_artifacts(save_dir, point, counts=counts)
-            except Exception as exc:  # noqa: BLE001
-                point = pareto.failed_solution("shuffle", params, k, seed, f"error: {exc}")
-            points.append(point)
-        if "ca" in methods:
-            cfg = methods["ca"]
-            for eps in cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]):
-                params = {"epsilon": eps}
-                seed = derive_seed(master_seed, "ca", params, k)
-                try:
-                    ca_cfg = baselines.CAConfig(
-                        epsilon=eps,
-                        max_iters=cfg.get("max_iters", 20000),
-                        marginal_tol=cfg.get("marginal_tol", 1e-9),
-                    )
-                    policy = baselines.congestion_alleviation(scores, k, ca_cfg)
-                    counts = top_k(policy.P, k)
-                    point = pareto.make_solution("ca", params, k, seed, scores, counts, naive_sys)
-                    _save_artifacts(save_dir, point, counts=counts, policy=policy)
-                except Exception as exc:  # noqa: BLE001
-                    point = pareto.failed_solution("ca", params, k, seed, f"error: {exc}")
-                points.append(point)
-        if "rr" in methods:
-            cfg = methods["rr"]
-            params = {"tau": cfg.get("tau", 0.0)}
-            seed = derive_seed(master_seed, "rr", params, k)
-            try:
-                rr_cfg = baselines.RRConfig(
-                    tau=params["tau"], seed=seed, exclusive=cfg.get("exclusive", True)
+        for method, runs in METHODS.items():
+            if method not in methods:
+                continue
+            for params, solve in runs(scores, methods[method], k, naive_counts):
+                # the naive list is deterministic; its row carries the master seed
+                seed = master_seed if method == "naive" else derive_seed(
+                    master_seed, method, params, k
                 )
-                counts = baselines.round_robin(scores.U, scores.S, k, rr_cfg)
-                point = pareto.make_solution("rr", params, k, seed, scores, counts, naive_sys)
-                _save_artifacts(save_dir, point, counts=counts)
-            except Exception as exc:  # noqa: BLE001
-                point = pareto.failed_solution("rr", params, k, seed, f"error: {exc}")
-            points.append(point)
-
-        for p in points:
-            row = _point_row(p)
-            if _row_key(row) not in seen:
-                seen.add(_row_key(row))
-                new_rows.append(row)
+                try:
+                    counts, policy = solve(seed)
+                    point = pareto.make_solution(
+                        method, params, k, seed, scores, counts, naive_sys
+                    )
+                    _save_artifacts(save_dir, point, counts, policy)
+                except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
+                    point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
+                row = _point_row(point)
+                if _row_key(row) not in seen:
+                    seen.add(_row_key(row))
+                    new_rows.append(row)
 
     _write_solutions_csv(solutions_path, existing + new_rows)
     return solutions_path
@@ -426,15 +426,9 @@ def cmd_check(fast: bool = False) -> int:
         )
 
         def loss_fn(x, _p=parametrization):
-            from .core import row_softmax
+            return loss_and_grad(U, S, x, 2, weights, _p)[0].total
 
-            P = row_softmax(x) if _p == "logits" else x
-            bd = losses.total_loss(U, S, P, 2, weights)
-            if _p == "logits":
-                return bd.total - weights.w4 * bd.penalty_loss
-            return bd.total
-
-        analytic = losses.grad_total_loss(U, S, params, 2, weights, parametrization)
+        analytic = loss_and_grad(U, S, params, 2, weights, parametrization)[1]
         numeric = losses.finite_diff_grad(loss_fn, params, 1e-5)
         scale = max(np.abs(numeric).max(), 1e-12)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3 * scale)

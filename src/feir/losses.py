@@ -1,7 +1,7 @@
 """Differentiable expected utility, envy, and inferiority under the multinomial
-recommendation model, the weighted combined loss, hand-derived gradients for
-both policy parametrizations, and the oracles (finite differences, Monte
-Carlo) that keep the closed forms honest.
+recommendation model, their hand-derived gradients, and the oracles (finite
+differences, Monte Carlo) that keep the closed forms honest. The weighted
+combination of the terms is `optim.loss_and_grad`.
 
 For a policy row P[i] and list length k, the per-user expectations are
 
@@ -20,10 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import DimensionError, row_softmax
-
-PARAMETRIZATIONS = ("logits", "direct")
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,10 @@ def expected_pair_inferiority(i: int, i_star: int, S, P, k: int) -> float:
 
 
 def pair_envy_matrix(U, P, k: int) -> np.ndarray:
-    """All pairwise expected envies; entry [i, t] is envy from i toward t."""
+    """All pairwise expected envies; entry [i, t] is envy from i toward t.
+
+    With a count matrix for P and k=1 it is the realized pairwise envy.
+    """
     U = np.asarray(U, dtype=float)
     P = np.asarray(P, dtype=float)
     M = U @ P.T
@@ -133,9 +132,7 @@ def _utility_loss_grad(U, P, k, m_norm):
 
 
 def _envy_loss_grad(U, P, k, m_norm):
-    M = U @ P.T
-    E = k * (M - np.diag(M)[:, None])
-    np.fill_diagonal(E, 0.0)
+    E = pair_envy_matrix(U, P, k)
     active = E > 0.0
     loss = float(np.sum(np.where(active, E, 0.0)) / m_norm)
     A = active.astype(float)
@@ -171,68 +168,10 @@ def softmax_grad_chain(P, G) -> np.ndarray:
     return P * (G - np.einsum("ij,ij->i", G, P)[:, None])
 
 
-def system_losses(U, S, P, k: int) -> tuple[float, float, float]:
-    """System-level loss terms (neg utility, envy, inferiority).
-
-    Utility is negated so that every term is minimized; envy keeps only
-    positive pairwise expectations; inferiority sums all ordered pairs. Each
-    is divided by the number of users.
-    """
-    U = np.asarray(U, dtype=float)
-    S = np.asarray(S, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if U.shape != S.shape or U.shape != P.shape:
-        raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}, P {P.shape}")
-    m = U.shape[0]
-    l_u, _ = _utility_loss_grad(U, P, k, m)
-    l_e, _ = _envy_loss_grad(U, P, k, m)
-    l_f, _ = _inferiority_loss_grad(S, P, k, np.arange(m), m)
-    return l_u, l_e, l_f
-
-
 def penalty_loss(P_raw) -> float:
     """Squared deviation of each row sum from 1, summed over rows."""
     loss, _ = _penalty_loss_grad(np.asarray(P_raw, dtype=float))
     return loss
-
-
-def total_loss(U, S, P, k: int, weights: LossWeights) -> LossBreakdown:
-    """Weighted combination of the four loss terms at policy P."""
-    l_u, l_e, l_f = system_losses(U, S, P, k)
-    l_p = penalty_loss(P)
-    total = weights.w1 * l_e + weights.w2 * l_f + weights.w3 * l_u + weights.w4 * l_p
-    return LossBreakdown(
-        envy_loss=l_e,
-        inferiority_loss=l_f,
-        neg_utility_loss=l_u,
-        penalty_loss=l_p,
-        total=total,
-    )
-
-
-def grad_total_loss(U, S, P_params, k: int, weights: LossWeights, parametrization: str = "logits") -> np.ndarray:
-    """Analytic gradient of the combined loss w.r.t. the free parameters.
-
-    "logits": P_params are unconstrained row scores, P = row_softmax(P_params);
-    the penalty is omitted because the softmax keeps rows stochastic.
-    "direct": P_params is the probability matrix itself and the penalty term
-    is active. The envy hinge uses subgradient 0 at the kink.
-    """
-    U = np.asarray(U, dtype=float)
-    S = np.asarray(S, dtype=float)
-    P_params = np.asarray(P_params, dtype=float)
-    if parametrization not in PARAMETRIZATIONS:
-        raise ValueError(f"unknown parametrization {parametrization!r}")
-    m = U.shape[0]
-    P = row_softmax(P_params) if parametrization == "logits" else P_params
-    _, g_u = _utility_loss_grad(U, P, k, m)
-    _, g_e = _envy_loss_grad(U, P, k, m)
-    _, g_f = _inferiority_loss_grad(S, P, k, np.arange(m), m)
-    G = weights.w1 * g_e + weights.w2 * g_f + weights.w3 * g_u
-    if parametrization == "direct":
-        _, g_p = _penalty_loss_grad(P)
-        return G + weights.w4 * g_p
-    return softmax_grad_chain(P, G)
 
 
 def finite_diff_grad(loss_fn, params, h: float = 1e-5) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountMatrix, DimensionError
+from .losses import pair_envy_matrix
 
 
 def _counts(C) -> np.ndarray:
@@ -88,12 +89,6 @@ def user_inferiority(i: int, i_star: int, S, C) -> float:
     return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
 
 
-def _pair_envy_matrix(U: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # E[i, t] = sum_j U[i,j] * (C[t,j] - C[i,j])
-    M = U @ C.T.astype(float)
-    return M - np.diag(M)[:, None]
-
-
 def _pair_inferiority_matrix(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     m = S.shape[0]
     B = (C > 0)
@@ -136,8 +131,7 @@ def system_metrics(U, S, C, *, pair_normalizer: str = "users") -> SystemMetrics:
     if m == 1:
         envy = inferiority = 0.0
     else:
-        E = _pair_envy_matrix(U, C)
-        np.fill_diagonal(E, 0.0)
+        E = pair_envy_matrix(U, C, 1)
         envy = float(np.sum(np.maximum(0.0, E)) / norm)
         F = _pair_inferiority_matrix(S, C)
         inferiority = float(np.sum(F) / norm)

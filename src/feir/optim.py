@@ -1,7 +1,7 @@
 """Gradient-descent post-processing of a score matrix against the combined
-envy/inferiority/utility loss, with the four large-scale training views
-(mini-batching, user sampling, item sampling, user-item sampling) and weight
-sweeps that trace out trade-off solution sets.
+envy/inferiority/utility loss (`loss_and_grad`), with the four large-scale
+training views (mini-batching, user sampling, item sampling, user-item
+sampling) and weight sweeps that trace out trade-off solution sets.
 
 Training is deterministic: every random choice derives from the config seed,
 and the none/minibatch(b=m)/user_sample(m_s=m)/item_sample(n_s=n) code paths
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Policy, ScorePair, row_softmax, top_k
+from .core import DimensionError, Policy, ScorePair, row_softmax, top_k
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -31,6 +31,8 @@ from .pareto import SolutionPoint, failed_solution, make_solution
 CONVERGENCE_WINDOW = 10
 
 SCALING_KINDS = ("none", "minibatch", "user_sample", "item_sample", "user_item_sample")
+
+PARAMETRIZATIONS = ("logits", "direct")
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,6 +105,11 @@ class TrainingView:
     item_scale: float = 1.0
 
 
+def _full_view(m: int, n: int) -> TrainingView:
+    everyone = np.arange(m)
+    return TrainingView(everyone, np.arange(n), everyone, "global")
+
+
 def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int) -> TrainingView:
     """Resolve the user/item index sets for one training step.
 
@@ -113,10 +120,10 @@ def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int
     """
     m, n = scores.m, scores.n
     scaling.validate_dims(m, n)
+    if scaling.kind == "none":
+        return _full_view(m, n)
     all_users = np.arange(m)
     all_items = np.arange(n)
-    if scaling.kind == "none":
-        return TrainingView(all_users, all_items, all_users, "global")
     if scaling.kind == "minibatch":
         n_batches = m // scaling.b
         epoch, idx = divmod(step, n_batches)
@@ -153,7 +160,7 @@ class TrainConfig:
             raise ValueError("max_steps must be >= 1")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
-        if self.parametrization not in ("logits", "direct"):
+        if self.parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
 
     def to_dict(self) -> dict:
@@ -201,9 +208,27 @@ class TrainTrace:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
-def _view_loss_grad(U, S, params, k, weights, view, parametrization):
-    """Loss breakdown at the current parameters on the view, and the gradient
-    w.r.t. the parameters (logits or probabilities)."""
+def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
+                  view: TrainingView | None = None) -> tuple[LossBreakdown, np.ndarray]:
+    """Weighted combined loss at the parameters, and its analytic gradient
+    w.r.t. them.
+
+    "logits": params are unconstrained row scores, P = row_softmax(params),
+    and the penalty is 0 because the softmax keeps rows stochastic.
+    "direct": params is the probability matrix itself and the simplex penalty
+    is active. The envy hinge uses subgradient 0 at the kink. The terms are
+    evaluated on `view` (default: the full instance) and scattered back into
+    a full-size gradient.
+    """
+    U = np.asarray(U, dtype=float)
+    S = np.asarray(S, dtype=float)
+    params = np.asarray(params, dtype=float)
+    if U.shape != S.shape or U.shape != params.shape:
+        raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}, params {params.shape}")
+    if parametrization not in PARAMETRIZATIONS:
+        raise ValueError(f"unknown parametrization {parametrization!r}")
+    if view is None:
+        view = _full_view(*U.shape)
     P = row_softmax(params) if parametrization == "logits" else params
     sel = np.ix_(view.users, view.items)
     Uv, Sv, Pv = U[sel], S[sel], P[sel]
@@ -275,8 +300,8 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     start = time.perf_counter()
     for step in range(config.max_steps):
         view = make_training_view(scores, config.scaling, step, config.seed)
-        breakdown, G = _view_loss_grad(
-            U, S, params, config.k, config.weights, view, config.parametrization
+        breakdown, G = loss_and_grad(
+            U, S, params, config.k, config.weights, config.parametrization, view
         )
         _check_finite(breakdown, step)
         breakdowns.append(breakdown)

@@ -20,10 +20,8 @@ from feir.losses import (
     expected_pair_inferiority,
     expected_user_utility,
     finite_diff_grad,
-    grad_total_loss,
     mc_estimate,
     pair_envy_matrix,
-    total_loss,
 )
 from feir.metrics import (
     competition_metrics,
@@ -33,7 +31,7 @@ from feir.metrics import (
     user_envy,
     user_inferiority,
 )
-from feir.optim import Scaling, TrainConfig, default_weight_grid, fit
+from feir.optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 from feir.pareto import hypervolume_2d, make_solution, pareto_front
 
 CA_EPSILONS = (0.0003, 0.001, 0.003, 0.01, 0.03, 0.1)
@@ -157,9 +155,9 @@ def test_criterion_02_gradient_correctness():
 
             def loss_fn(x, _p=parametrization):
                 Px = row_softmax(x) if _p == "logits" else x
-                return total_loss(U, S, Px, k, weights).total
+                return loss_and_grad(U, S, Px, k, weights, "direct")[0].total
 
-            analytic = grad_total_loss(U, S, params, k, weights, parametrization)
+            analytic = loss_and_grad(U, S, params, k, weights, parametrization)[1]
             numeric = finite_diff_grad(loss_fn, params, 1e-5)
             scale = max(np.abs(numeric).max(), 1e-12)
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3 * scale)

@@ -143,6 +143,16 @@ class TestRun:
         with pytest.raises(ValueError):
             cmd_run(config, tmp_path / "out")
 
+    def test_unknown_method_rejected(self, tmp_path, intro_dataset):
+        config = {
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1],
+            "methods": {"naiv": {}, "FEIR": {}, "naive": {}},
+        }
+        with pytest.raises(ValueError, match=r"\['FEIR', 'naiv'\].*'naive', 'feir'"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
     def test_missing_dataset_file(self, tmp_path):
         config = {"dataset": {"u_path": str(tmp_path / "ghost.csv")}, "methods": {"naive": {}}}
         with pytest.raises(FileNotFoundError):

@@ -4,22 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from feir.core import row_softmax
+from feir.core import DimensionError, row_softmax
 from feir.losses import (
     LossWeights,
     expected_pair_envy,
     expected_pair_inferiority,
     expected_user_utility,
     finite_diff_grad,
-    grad_total_loss,
     hit_probability,
     hit_probability_grad,
     mc_estimate,
     pair_envy_matrix,
     penalty_loss,
-    system_losses,
-    total_loss,
 )
+from feir.optim import loss_and_grad
 
 INTRO_U = np.array([[0.2, 0.6, 0.9], [0.1, 0.8, 0.7]])
 INTRO_S = np.array([[0.3, 0.9, 0.4], [0.3, 0.8, 0.8]])
@@ -29,6 +27,12 @@ SECOND_TOY = np.array([[0.1, 0.9, 0.8], [0.4, 0.6, 0.5]])
 def random_policy(rng, m, n):
     P = rng.uniform(0.05, 1.0, size=(m, n))
     return P / P.sum(axis=1, keepdims=True)
+
+
+def loss_terms(U, S, P, k):
+    """(neg utility, envy, inferiority) at the probability matrix P."""
+    bd, _ = loss_and_grad(U, S, P, k, LossWeights(1.0, 1.0, 1.0), "direct")
+    return bd.neg_utility_loss, bd.envy_loss, bd.inferiority_loss
 
 
 def rel_error(analytic, numeric):
@@ -119,19 +123,19 @@ class TestHitProbability:
 
 class TestSystemLosses:
     def test_single_user(self):
-        l_u, l_e, l_f = system_losses(INTRO_U[:1], INTRO_S[:1], np.array([[0.2, 0.3, 0.5]]), 2)
+        l_u, l_e, l_f = loss_terms(INTRO_U[:1], INTRO_S[:1], np.array([[0.2, 0.3, 0.5]]), 2)
         assert l_e == 0.0 and l_f == 0.0
         assert l_u < 0.0
 
     def test_equal_policy_rows_kill_envy(self):
         P = np.tile(random_policy(np.random.default_rng(0), 1, 5), (3, 1))
         U = np.random.default_rng(1).uniform(0.01, 0.99, (3, 5))
-        _, l_e, _ = system_losses(U, U, P, 2)
+        _, l_e, _ = loss_terms(U, U, P, 2)
         assert l_e == 0.0
 
     def test_second_toy_values(self):
         P = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-        l_u, l_e, l_f = system_losses(SECOND_TOY, SECOND_TOY, P, 1)
+        l_u, l_e, l_f = loss_terms(SECOND_TOY, SECOND_TOY, P, 1)
         assert l_u == pytest.approx(-0.75, abs=1e-12)
         assert l_e == 0.0
         assert l_f == pytest.approx(0.15, abs=1e-12)
@@ -142,17 +146,17 @@ class TestSystemLosses:
         U = rng.uniform(0.01, 0.99, (3, 4))
         S = rng.uniform(0.01, 0.99, (3, 4))
         P = random_policy(rng, 3, 4)
-        l_u, l_e, l_f = system_losses(U, S, P, 2)
+        l_u, l_e, l_f = loss_terms(U, S, P, 2)
         assert l_u <= 0.0 and l_e >= 0.0 and l_f >= 0.0
 
     def test_inferiority_zero_iff_no_overlap_or_no_deficit(self):
         # identical suitability rows: every deficit is zero
         S_flat = np.tile(np.array([[0.3, 0.6, 0.9]]), (2, 1))
         P = random_policy(np.random.default_rng(2), 2, 3)
-        _, _, l_f = system_losses(S_flat, S_flat, P, 2)
+        _, _, l_f = loss_terms(S_flat, S_flat, P, 2)
         assert l_f == 0.0
         # overlapping supports with a deficit: strictly positive
-        _, _, l_f = system_losses(INTRO_U, INTRO_S, np.full((2, 3), 1 / 3), 2)
+        _, _, l_f = loss_terms(INTRO_U, INTRO_S, np.full((2, 3), 1 / 3), 2)
         assert l_f > 0.0
 
     def test_degenerate_onehot_matches_deterministic(self):
@@ -195,13 +199,13 @@ class TestPenaltyAndTotal:
         rng = np.random.default_rng(4)
         U = rng.uniform(0.01, 0.99, (3, 4))
         P = random_policy(rng, 3, 4)
-        bd = total_loss(U, U, P, 2, LossWeights(0, 0, 1, 0))
-        l_u, _, _ = system_losses(U, U, P, 2)
+        bd = loss_and_grad(U, U, P, 2, LossWeights(0, 0, 1, 0), "direct")[0]
+        l_u, _, _ = loss_terms(U, U, P, 2)
         assert bd.total == pytest.approx(l_u, abs=1e-12)
 
     def test_second_toy_total(self):
         P = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-        bd = total_loss(SECOND_TOY, SECOND_TOY, P, 1, LossWeights(1, 1, 1, 0))
+        bd = loss_and_grad(SECOND_TOY, SECOND_TOY, P, 1, LossWeights(1, 1, 1, 0), "direct")[0]
         assert bd.total == pytest.approx(-0.6, abs=1e-12)
 
     def test_doubling_weights_doubles_total(self):
@@ -209,8 +213,8 @@ class TestPenaltyAndTotal:
         U = rng.uniform(0.01, 0.99, (3, 4))
         S = rng.uniform(0.01, 0.99, (3, 4))
         P = rng.uniform(0.1, 0.9, (3, 4))  # off-simplex so the penalty is active
-        one = total_loss(U, S, P, 2, LossWeights(1, 2, 3, 4))
-        two = total_loss(U, S, P, 2, LossWeights(2, 4, 6, 8))
+        one = loss_and_grad(U, S, P, 2, LossWeights(1, 2, 3, 4), "direct")[0]
+        two = loss_and_grad(U, S, P, 2, LossWeights(2, 4, 6, 8), "direct")[0]
         assert two.total == pytest.approx(2 * one.total, abs=1e-10)
 
     def test_breakdown_invariant(self):
@@ -218,7 +222,7 @@ class TestPenaltyAndTotal:
         U = rng.uniform(0.01, 0.99, (3, 4))
         P = rng.uniform(0.1, 0.9, (3, 4))
         w = LossWeights(0.5, 1.5, 2.0, 3.0)
-        bd = total_loss(U, U, P, 2, w)
+        bd = loss_and_grad(U, U, P, 2, w, "direct")[0]
         recomputed = (
             w.w1 * bd.envy_loss + w.w2 * bd.inferiority_loss
             + w.w3 * bd.neg_utility_loss + w.w4 * bd.penalty_loss
@@ -231,12 +235,22 @@ class TestGradients:
         rng = np.random.default_rng(0)
         U = rng.uniform(0.01, 0.99, (4, 6))
         P = random_policy(rng, 4, 6)
-        G = grad_total_loss(U, U, P, 3, LossWeights(0, 0, 1, 0), "direct")
+        G = loss_and_grad(U, U, P, 3, LossWeights(0, 0, 1, 0), "direct")[1]
         np.testing.assert_array_equal(G, -(3 / 4) * U)
 
     def test_unknown_parametrization(self):
         with pytest.raises(ValueError):
-            grad_total_loss(INTRO_U, INTRO_S, INTRO_U, 1, LossWeights(1, 1, 1), "foo")
+            loss_and_grad(INTRO_U, INTRO_S, INTRO_U, 1, LossWeights(1, 1, 1), "foo")
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize(
+        "S, params",
+        [(INTRO_S[:, :2], INTRO_U), (INTRO_S, INTRO_U[:1]), (INTRO_S, INTRO_U.T)],
+        ids=["S", "params", "params_transposed"],
+    )
+    def test_shape_mismatch(self, S, params, parametrization):
+        with pytest.raises(DimensionError):
+            loss_and_grad(INTRO_U, S, params, 1, LossWeights(1, 1, 1), parametrization)
 
     @pytest.mark.parametrize("parametrization", ["logits", "direct"])
     def test_matches_finite_differences(self, parametrization):
@@ -258,9 +272,9 @@ class TestGradients:
 
             def loss_fn(x):
                 Px = row_softmax(x) if parametrization == "logits" else x
-                return total_loss(U, S, Px, 2, weights).total
+                return loss_and_grad(U, S, Px, 2, weights, "direct")[0].total
 
-            analytic = grad_total_loss(U, S, params, 2, weights, parametrization)
+            analytic = loss_and_grad(U, S, params, 2, weights, parametrization)[1]
             numeric = finite_diff_grad(loss_fn, params, 1e-5)
             assert rel_error(analytic, numeric) < 1e-5
 
@@ -269,11 +283,11 @@ class TestGradients:
         U = np.tile(np.array([[0.3, 0.6, 0.9, 0.5]]), (2, 1))
         P = np.full((2, 4), 0.25)
         weights = LossWeights(1.0, 1.0, 0.0, 0.0)
-        G = grad_total_loss(U, U, P, 2, weights, "direct")
+        G = loss_and_grad(U, U, P, 2, weights, "direct")[1]
         np.testing.assert_allclose(G[0], G[1], atol=1e-12)
 
         def loss_fn(x):
-            return total_loss(U, U, x, 2, weights).total
+            return loss_and_grad(U, U, x, 2, weights, "direct")[0].total
 
         # the instance sits exactly on the envy hinge, so compare absolutely
         # against the finite-difference noise floor instead of relatively

@@ -172,8 +172,8 @@ class TestFit:
             P = row_softmax(params)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
             view = make_training_view(pair, cfg.scaling, step, cfg.seed)
-            _, G = optim._view_loss_grad(pair.U, pair.S, params, cfg.k, cfg.weights,
-                                         view, cfg.parametrization)
+            _, G = optim.loss_and_grad(pair.U, pair.S, params, cfg.k, cfg.weights,
+                                       cfg.parametrization, view)
             params = params - cfg.learning_rate * G
 
     def test_monotone_decrease_at_small_learning_rate(self):
@@ -262,7 +262,7 @@ class TestViewLossAndGradient:
         Z = np.log(P)  # logits reproducing P exactly up to softmax
         view = make_training_view(pair, Scaling(kind="minibatch", b=3), step=4, seed=2)
         weights = LossWeights(0.0, 1.0, 0.0, 0.0)
-        breakdown, _ = optim._view_loss_grad(pair.U, pair.S, Z, k, weights, view, "logits")
+        breakdown, _ = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view)
         P_actual = row_softmax(Z)
         expected = sum(
             expected_pair_inferiority(i, t, pair.S, P_actual, k)
@@ -293,12 +293,12 @@ class TestViewLossAndGradient:
         view = make_training_view(pair, scaling, step=3, seed=11)
 
         def view_loss(params):
-            breakdown, _ = optim._view_loss_grad(
-                pair.U, pair.S, params, k, weights, view, "logits"
+            breakdown, _ = optim.loss_and_grad(
+                pair.U, pair.S, params, k, weights, "logits", view
             )
             return breakdown.total
 
-        _, analytic = optim._view_loss_grad(pair.U, pair.S, Z, k, weights, view, "logits")
+        _, analytic = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view)
         numeric = finite_diff_grad(view_loss, Z, 1e-5)
         scale = max(np.abs(numeric).max(), 1e-12)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3 * scale)
