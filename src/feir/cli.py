@@ -110,10 +110,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _point_row(p: pareto.SolutionPoint) -> dict:
+def _key_row(method: str, params: dict, k: int, seed: int) -> dict:
+    """A solutions.csv row with only the key cells filled in."""
     row = {c: "" for c in SOLUTION_COLUMNS}
+    row.update(method=method, k=str(k), seed=str(seed))
+    for name in ("w1", "w2", "w3", "w4", "d", "epsilon", "tau"):
+        if name in params:
+            row[name] = _format_cell(float(params[name]))
+    return row
+
+
+def _point_row(p: pareto.SolutionPoint) -> dict:
+    row = _key_row(p.method, p.params, p.k, p.seed)
     row.update(
-        method=p.method, k=str(p.k), seed=str(p.seed), status=p.status,
+        status=p.status,
         utility=_format_cell(p.utility), utility_norm=_format_cell(p.utility_norm),
         envy=_format_cell(p.envy), inferiority=_format_cell(p.inferiority),
         inferiority_norm=_format_cell(p.inferiority_norm),
@@ -121,9 +131,6 @@ def _point_row(p: pareto.SolutionPoint) -> dict:
         mean_rank=_format_cell(p.mean_rank), mean_gap=_format_cell(p.mean_gap),
         gini=_format_cell(p.gini),
     )
-    for name in ("w1", "w2", "w3", "w4", "d", "epsilon", "tau"):
-        if name in p.params:
-            row[name] = _format_cell(float(p.params[name]))
     return row
 
 
@@ -228,11 +235,14 @@ def _save_artifacts(save_dir, point, counts, policy):
 def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     """Evaluate every configured (method, hyperparameters, k) combination.
 
-    Every run is recomputed on each call. Rows are keyed by method, params,
-    k, and seed; a key already in solutions.csv keeps its old row, so a
-    re-run adds no duplicates. solutions.csv is written once, at the end, so
-    an interrupted run leaves it unchanged. Failures become rows with an
-    error status and the run continues.
+    Rows are keyed by method, params, k, and seed. The key of each run is
+    derived before it is solved, and a run whose key is already in
+    solutions.csv (or earlier in this call) is skipped, keeping the old row;
+    a re-run only computes the missing rows. The key does not cover the
+    dataset or the method's other settings, so a changed config keeps the
+    old rows. solutions.csv is written once, at the end, so an interrupted
+    run leaves it unchanged. Failures become rows with an error status and
+    the run continues.
     """
     methods = config.get("methods", {})
     if not methods:
@@ -264,6 +274,10 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 seed = master_seed if method == "naive" else derive_seed(
                     master_seed, method, params, k
                 )
+                key = _row_key(_key_row(method, params, k, seed))
+                if key in seen:
+                    continue
+                seen.add(key)
                 try:
                     counts, policy = solve(seed)
                     point = pareto.make_solution(
@@ -272,10 +286,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                     _save_artifacts(save_dir, point, counts, policy)
                 except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
                     point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
-                row = _point_row(point)
-                if _row_key(row) not in seen:
-                    seen.add(_row_key(row))
-                    new_rows.append(row)
+                new_rows.append(_point_row(point))
 
     _write_solutions_csv(solutions_path, existing + new_rows)
     return solutions_path

@@ -141,18 +141,83 @@ def _envy_loss_grad(U, P, k, m_norm):
     return loss, grad
 
 
+class SuitabilityOrder:
+    """Users sorted by suitability on every item, for exact weighted sums of
+    the pairwise deficits d[i, t, j] = max(0, S[t, j] - S[i, j]) in
+    O(m n log m) time and O(m n) memory, where the dense (i, t, j) form takes
+    O(m^2 n) of both.
+
+    On item j, d[i, t, j] is the sum of the gaps between consecutive sorted
+    suitabilities from i's position up to t's, so a weighted sum over the
+    users above i (or below t) is a suffix (or prefix) sum of gap * weight.
+    Gaps are >= 0, so with non-negative weights every term is >= 0 and a sum
+    with no positive deficit is exactly 0. The sort need not be stable: tied
+    users sit across a zero gap and get identical sums in any order.
+    """
+
+    def __init__(self, S):
+        S = np.asarray(S, dtype=float)
+        # flat index of the entry at sorted position r of item j's column
+        self._flat = np.argsort(S, axis=0) * S.shape[1] + np.arange(S.shape[1])
+        self._gap = np.diff(np.take(S, self._flat), axis=0)
+
+    def _sorted(self, w) -> np.ndarray:
+        return np.take(np.asarray(w, dtype=float), self._flat)
+
+    def _unsorted(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        out.reshape(-1)[self._flat] = x
+        return out
+
+    @staticmethod
+    def _weight_above(ws: np.ndarray) -> np.ndarray:
+        # row r of the (m-1, n) result sums the sorted weights ws[r+1:]
+        return np.cumsum(ws[:0:-1], axis=0)[::-1]
+
+    def shortfall(self, w) -> np.ndarray:
+        """[i, j] = sum_t d[i, t, j] * w[t, j]: how far user i trails the
+        weighted users above it on item j."""
+        ws = self._sorted(w)
+        out = np.zeros_like(ws)
+        out[:-1] = np.cumsum((self._gap * self._weight_above(ws))[::-1], axis=0)[::-1]
+        return self._unsorted(out)
+
+    def lead(self, v) -> np.ndarray:
+        """[t, j] = sum_i d[i, t, j] * v[i, j]: how far the weighted users
+        below user t trail it on item j."""
+        vs = self._sorted(v)
+        out = np.zeros_like(vs)
+        out[1:] = np.cumsum(self._gap * np.cumsum(vs[:-1], axis=0), axis=0)
+        return self._unsorted(out)
+
+    def weight_strictly_above(self, w) -> np.ndarray:
+        """[i, j] = sum of w[t, j] over the users t with S[t, j] > S[i, j]."""
+        ws = self._sorted(w)
+        m = ws.shape[0]
+        above = np.zeros_like(ws)
+        above[:-1] = self._weight_above(ws)
+        # a tie run ends at a positive gap or at the top; each member reads
+        # the weight above the run's last position
+        is_end = np.ones(ws.shape, dtype=bool)
+        is_end[:-1] = self._gap > 0
+        end = np.where(is_end, np.arange(m)[:, None], m - 1)
+        end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+        return self._unsorted(np.take_along_axis(above, end, axis=0))
+
+
 def _inferiority_loss_grad(S, P, k, f_rows, m_norm):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
     user), divided by m_norm, plus its gradient w.r.t. every row of P."""
     q = hit_probability(P, k)
     qg = hit_probability_grad(P, k)
-    # deficit[i, t, j] = max(0, S[t, j] - S[f_rows[i], j]); the t == i slice is 0
-    deficit = np.maximum(0.0, S[None, :, :] - S[f_rows][:, None, :])
-    loss = float(np.einsum("itj,ij,tj->", deficit, q[f_rows], q) / m_norm)
-    grad = np.zeros_like(P)
-    grad += qg * np.einsum("itj,ij->tj", deficit, q[f_rows])      # role: rival t
-    own = qg[f_rows] * np.einsum("itj,tj->ij", deficit, q)        # role: measured user i
-    grad[f_rows] += own
+    measured = np.zeros((P.shape[0], 1))
+    measured[f_rows] = 1.0
+    q_measured = q * measured
+    order = SuitabilityOrder(S)
+    shortfall = order.shortfall(q)
+    loss = float(np.sum(q_measured * shortfall) / m_norm)
+    # a user's row gets its role as measured user i (if in f_rows) and as rival t
+    grad = qg * (measured * shortfall + order.lead(q_measured))
     return loss, grad / m_norm
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountMatrix, DimensionError
-from .losses import pair_envy_matrix
+from .losses import SuitabilityOrder, pair_envy_matrix
 
 
 def _counts(C) -> np.ndarray:
@@ -89,18 +89,6 @@ def user_inferiority(i: int, i_star: int, S, C) -> float:
     return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
 
 
-def _pair_inferiority_matrix(S: np.ndarray, C: np.ndarray) -> np.ndarray:
-    m = S.shape[0]
-    B = (C > 0)
-    F = np.zeros((m, m))
-    for i in range(m):
-        deficit = np.maximum(0.0, S - S[i])          # (m, n), row t = S[t] - S[i] clipped
-        shared = B & B[i]                            # items in both lists
-        F[i] = np.sum(deficit * shared, axis=1)
-    np.fill_diagonal(F, 0.0)
-    return F
-
-
 def system_metrics(U, S, C, *, pair_normalizer: str = "users") -> SystemMetrics:
     """System utility, envy, and inferiority of a realized recommendation.
 
@@ -133,8 +121,7 @@ def system_metrics(U, S, C, *, pair_normalizer: str = "users") -> SystemMetrics:
     else:
         E = pair_envy_matrix(U, C, 1)
         envy = float(np.sum(np.maximum(0.0, E)) / norm)
-        F = _pair_inferiority_matrix(S, C)
-        inferiority = float(np.sum(F) / norm)
+        inferiority = float(np.sum(inferiority_by_user(S, C)) / norm)
     return SystemMetrics(
         utility=utility,
         envy=envy,
@@ -150,9 +137,8 @@ def inferiority_by_user(S, C) -> np.ndarray:
     The mean of this vector over any user subset gives that group's
     inferiority; the mean over everyone times m recovers the system pair sum.
     """
-    S = np.asarray(S, dtype=float)
-    C = _counts(C)
-    return _pair_inferiority_matrix(S, C).sum(axis=1)
+    B = (_counts(C) > 0).astype(float)
+    return np.sum(B * SuitabilityOrder(S).shortfall(B), axis=1)
 
 
 def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> NormalizedMetrics:
@@ -184,21 +170,13 @@ def competition_metrics(S, C, k: int | None = None) -> CompetitionMetrics:
     S = np.asarray(S, dtype=float)
     C = _counts(C)
     _require_binary(C)
-    m, n = S.shape
     if k is None:
         k = int(C[0].sum())
-    rival_counts = np.zeros((m, n))
-    gap_sums = np.zeros((m, n))
-    for j in range(n):
-        picked = C[:, j] == 1
-        if picked.sum() < 2:
-            continue
-        s = S[:, j]
-        # rivals of i on item j: picked users with strictly higher suitability
-        better = picked[None, :] & (s[None, :] > s[:, None])   # (i, t)
-        rival_counts[:, j] = np.where(picked, better.sum(axis=1), 0)
-        shortfall = np.where(better, s[None, :] - s[:, None], 0.0)
-        gap_sums[:, j] = np.where(picked, shortfall.sum(axis=1), 0.0)
+    B = C.astype(float)
+    order = SuitabilityOrder(S)
+    # rivals of i on item j: the picked users strictly more suitable than i
+    rival_counts = B * order.weight_strictly_above(B)
+    gap_sums = B * order.shortfall(B)
     rank_per_user = rival_counts.sum(axis=1) / k
     gap_per_user = np.sum(gap_sums / np.maximum(1.0, rival_counts), axis=1) / k
     rank_per_user.setflags(write=False)

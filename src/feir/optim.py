@@ -93,8 +93,8 @@ class Scaling:
 
 @dataclass(frozen=True)
 class TrainingView:
-    """Index sets one step trains on. `users`/`items` select the sub-instance
-    for the global loss terms; `f_rows` (indices into the sliced user axis)
+    """Index sets one step trains on. `users`/`items` (sorted, distinct)
+    select the sub-instance for the global loss terms; `f_rows` (indices into the sliced user axis)
     selects whose outgoing inferiority is counted; `item_scale` rescales
     item-sampled losses back to full-instance magnitude."""
 
@@ -108,6 +108,17 @@ class TrainingView:
 def _full_view(m: int, n: int) -> TrainingView:
     everyone = np.arange(m)
     return TrainingView(everyone, np.arange(n), everyone, "global")
+
+
+def _view_index(view: TrainingView, m: int, n: int) -> tuple:
+    """Index of the view's sub-instance. An axis the view covers whole is a
+    plain slice, so it is read in place and written back as one block; only
+    sampled axes are gathered."""
+    rows = slice(None) if view.users.size == m else view.users
+    cols = slice(None) if view.items.size == n else view.items
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
 
 
 def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int) -> TrainingView:
@@ -230,7 +241,7 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
     if view is None:
         view = _full_view(*U.shape)
     P = row_softmax(params) if parametrization == "logits" else params
-    sel = np.ix_(view.users, view.items)
+    sel = _view_index(view, *U.shape)
     Uv, Sv, Pv = U[sel], S[sel], P[sel]
     mv = view.users.size
     l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv)

@@ -4,6 +4,8 @@ keep it slow and obvious."""
 
 import numpy as np
 
+from feir.losses import hit_probability, hit_probability_grad
+
 
 def utility_user(i, U, C):
     return sum(U[i][j] * C[i][j] for j in range(len(U[i])))
@@ -119,6 +121,21 @@ def expected_inferiority_bruteforce(i, t, S, P, k):
             )
             total += pi * pt * val
     return total
+
+
+def inferiority_loss_grad_dense(S, P, k, f_rows, m_norm):
+    """The expected-inferiority loss and gradient of the training kernel,
+    built from the dense (i, t, j) deficit tensor in O(m^2 n) memory."""
+    q = hit_probability(P, k)
+    qg = hit_probability_grad(P, k)
+    # deficit[i, t, j] = max(0, S[t, j] - S[f_rows[i], j]); the t == i slice is 0
+    deficit = np.maximum(0.0, S[None, :, :] - S[f_rows][:, None, :])
+    loss = float(np.einsum("itj,ij,tj->", deficit, q[f_rows], q) / m_norm)
+    grad = np.zeros_like(P)
+    grad += qg * np.einsum("itj,ij->tj", deficit, q[f_rows])      # role: rival t
+    own = qg[f_rows] * np.einsum("itj,tj->ij", deficit, q)        # role: measured user i
+    grad[f_rows] += own
+    return loss, grad / m_norm
 
 
 def hypervolume_mc(points, ref, samples=200_000, seed=0):

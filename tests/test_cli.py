@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import feir.cli
 from feir.cli import (
     DEFAULT_REPORT_AXES,
     SOLUTION_COLUMNS,
     UNDEFINED_CELL,
+    cmd_check,
     cmd_generate,
     cmd_report,
     cmd_run,
@@ -124,6 +126,23 @@ class TestRun:
         first = read_rows(cmd_run(config, out))
         second = read_rows(cmd_run(config, out))
         assert first == second
+
+    def test_rerun_skips_done_rows_before_solving(self, tmp_path, intro_dataset, monkeypatch):
+        config = {
+            "seed": 3,
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1, 2],
+            "methods": {"naive": {}, "feir": {"weight_grid": [[0, 1, 1, 0], [1, 0, 1, 0]],
+                                              "max_steps": 20}},
+        }
+        out = tmp_path / "out"
+        first = cmd_run(config, out).read_bytes()
+        fits = []
+        real_fit = feir.cli.fit
+        monkeypatch.setattr(feir.cli, "fit", lambda *a, **kw: fits.append(a) or real_fit(*a, **kw))
+        second = cmd_run(config, out).read_bytes()
+        assert fits == []
+        assert second == first
 
     def test_failures_become_rows(self, tmp_path, intro_dataset):
         # rr with m*k > n under exclusivity cannot allocate
@@ -262,6 +281,11 @@ class TestReport:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cmd_report(tmp_path / "ghost.csv", None, tmp_path)
+
+
+def test_check_fast_passes(capsys):
+    assert cmd_check(fast=True) == 0
+    assert "4/4 checks passed" in capsys.readouterr().out
 
 
 class TestMain:

@@ -7,6 +7,7 @@ import oracles
 from feir.core import DimensionError, row_softmax
 from feir.losses import (
     LossWeights,
+    _inferiority_loss_grad,
     expected_pair_envy,
     expected_pair_inferiority,
     expected_user_utility,
@@ -184,6 +185,46 @@ class TestSystemLosses:
                 assert expected_pair_inferiority(i, t, S, P, k) == pytest.approx(
                     metrics.user_inferiority(i, t, S, C), abs=1e-12
                 )
+
+
+class TestInferiorityKernel:
+    """The sorted inferiority kernel against the dense (i, t, j) oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6), data=st.data())
+    def test_matches_dense_oracle(self, m, seed, n, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+        S = rng.uniform(0.01, 0.99, (m, n))
+        if data.draw(st.booleans(), label="tied"):
+            S = np.round(S, 1)
+        # direct-mode iterates may leave [0, 1], where hit probabilities go negative
+        in_range = data.draw(st.booleans(), label="in_range")
+        P = random_policy(rng, m, n) if in_range else rng.uniform(-0.5, 1.5, (m, n))
+        f_rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)), label="f_rows")),
+                          dtype=int)
+        m_norm = float(max(1, f_rows.size))
+        loss, grad = _inferiority_loss_grad(S, P, k, f_rows, m_norm)
+        ref_loss, ref_grad = oracles.inferiority_loss_grad_dense(S, P, k, f_rows, m_norm)
+        # in range every term is >= 0, so both summation orders agree to
+        # rounding relative to the result; once terms can cancel, the errors
+        # are relative to the largest possible sum of term sizes instead
+        q = np.abs(hit_probability(P, k)).max()
+        qg = np.abs(hit_probability_grad(P, k)).max()
+        atol = 0.0 if in_range else 1e-12 * 2 * m * n * q * max(q, qg)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
+    def test_shared_scores_through_loss_and_grad(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        U = np.round(rng.uniform(0.01, 0.99, (m, n)), 1)
+        P = random_policy(rng, m, n)
+        bd, G = loss_and_grad(U, U, P, n, LossWeights(0.0, 1.0, 0.0), "direct")
+        ref_loss, ref_grad = oracles.inferiority_loss_grad_dense(U, P, n, np.arange(m), m)
+        np.testing.assert_allclose(bd.inferiority_loss, ref_loss, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(G, ref_grad, rtol=1e-12, atol=0.0)
 
 
 class TestPenaltyAndTotal:

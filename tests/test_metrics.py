@@ -131,6 +131,19 @@ class TestSystemLevel:
             assert sys.envy == pytest.approx(e_ref, abs=1e-12)
             assert sys.inferiority == pytest.approx(f_ref, abs=1e-12)
 
+    def test_matches_bruteforce_with_tied_suitabilities(self):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            m, n = rng.integers(2, 7), rng.integers(2, 5)
+            k = int(rng.integers(1, n + 1))
+            U = rng.uniform(0.01, 0.99, (m, n))
+            S = np.round(rng.uniform(0.0, 1.0, (m, n)), 1)
+            C = top_k(rng.uniform(size=(m, n)), k).C
+            sys = system_metrics(U, S, C)
+            _, e_ref, f_ref = oracles.system_values(U.tolist(), S.tolist(), C.tolist())
+            assert sys.inferiority == pytest.approx(f_ref, abs=1e-12)
+            assert sys.envy == pytest.approx(e_ref, abs=1e-12)
+
     def test_inferiority_by_user_matches_system(self):
         rng = np.random.default_rng(3)
         S = rng.uniform(0.01, 0.99, (5, 8))
@@ -201,6 +214,31 @@ class TestCompetition:
             np.testing.assert_allclose(comp.mean_gap_per_user, gaps_ref, atol=1e-12)
             assert (comp.mean_rank_per_user <= m - 1).all()
             assert (comp.mean_gap_per_user <= S.max()).all()
+
+    def test_tied_suitabilities_are_not_rivals(self):
+        # equally suitable users do not outrank each other: only strictly
+        # more suitable ones count toward rank and gap
+        S = np.array([[0.5], [0.5], [0.9], [0.9], [0.2]])
+        C = np.ones((5, 1), dtype=int)
+        comp = competition_metrics(S, C, 1)
+        assert comp.mean_rank_per_user.tolist() == [2.0, 2.0, 0.0, 0.0, 4.0]
+        np.testing.assert_allclose(comp.mean_gap_per_user, [0.4, 0.4, 0.0, 0.0, 0.5], atol=1e-12)
+
+    def test_bruteforce_with_tied_suitabilities(self):
+        rng = np.random.default_rng(12)
+        tied_rivals = 0
+        for _ in range(30):
+            m, n, k = 6, 4, 2
+            S = np.round(rng.uniform(0.0, 1.0, (m, n)), 1)
+            C = top_k(rng.uniform(size=(m, n)), k).C
+            comp = competition_metrics(S, C, k)
+            ranks_ref, gaps_ref = oracles.rank_and_gap(S.tolist(), C.tolist(), k)
+            np.testing.assert_allclose(comp.mean_rank_per_user, ranks_ref, atol=1e-12)
+            np.testing.assert_allclose(comp.mean_gap_per_user, gaps_ref, atol=1e-12)
+            for j in range(n):
+                picked = S[C[:, j] == 1, j]
+                tied_rivals += picked.size - np.unique(picked).size
+        assert tied_rivals > 0
 
 
 class TestGini:
