@@ -63,7 +63,6 @@ from .optim import (
     fit,
     loss_and_grad,
     make_training_view,
-    sweep,
 )
 from .pareto import (
     Front2D,

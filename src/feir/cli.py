@@ -10,10 +10,11 @@ generation, training, baselines, evaluation, and trade-off reporting.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,15 @@ import numpy as np
 from . import baselines, datagen, losses, metrics, pareto
 from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
 from .losses import LossWeights
-from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
+from .optim import TrainConfig, default_weight_grid, fit, loss_and_grad
 
-SOLUTION_COLUMNS = [
-    "method", "w1", "w2", "w3", "w4", "d", "epsilon", "tau", "k", "seed",
+PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
+KEY_COLUMNS = ["method", *PARAM_COLUMNS, "k", "seed"]
+METRIC_COLUMNS = [
     "utility", "utility_norm", "envy", "inferiority", "inferiority_norm",
-    "overall_norm", "mean_rank", "mean_gap", "gini", "status",
+    "overall_norm", "mean_rank", "mean_gap", "gini",
 ]
+SOLUTION_COLUMNS = [*KEY_COLUMNS, *METRIC_COLUMNS, "status"]
 
 DEFAULT_KS = [1, 5, 10, 20, 50, 100]
 
@@ -110,45 +113,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _key_row(method: str, params: dict, k: int, seed: int) -> dict:
-    """A solutions.csv row with only the key cells filled in."""
-    row = {c: "" for c in SOLUTION_COLUMNS}
-    row.update(method=method, k=str(k), seed=str(seed))
-    for name in ("w1", "w2", "w3", "w4", "d", "epsilon", "tau"):
-        if name in params:
-            row[name] = _format_cell(float(params[name]))
-    return row
+def _solution_row(p: pareto.SolutionPoint) -> dict:
+    """The solutions.csv row of a point; a blank cell is an absent value."""
+    cells = {"method": p.method, "k": p.k, "seed": p.seed, "status": p.status}
+    cells.update((c, float(p.params[c])) for c in PARAM_COLUMNS if c in p.params)
+    cells.update((c, getattr(p, c)) for c in METRIC_COLUMNS)
+    return {c: _format_cell(cells.get(c)) for c in SOLUTION_COLUMNS}
 
 
-def _point_row(p: pareto.SolutionPoint) -> dict:
-    row = _key_row(p.method, p.params, p.k, p.seed)
-    row.update(
-        status=p.status,
-        utility=_format_cell(p.utility), utility_norm=_format_cell(p.utility_norm),
-        envy=_format_cell(p.envy), inferiority=_format_cell(p.inferiority),
-        inferiority_norm=_format_cell(p.inferiority_norm),
-        overall_norm=_format_cell(p.overall_norm),
-        mean_rank=_format_cell(p.mean_rank), mean_gap=_format_cell(p.mean_gap),
-        gini=_format_cell(p.gini),
+def _solution_point(row: dict) -> pareto.SolutionPoint:
+    """The point a solutions.csv row holds, the inverse of _solution_row."""
+
+    def num(col):
+        return float(row[col]) if row.get(col) else None
+
+    return pareto.SolutionPoint(
+        method=row["method"], params={c: num(c) for c in PARAM_COLUMNS if row.get(c)},
+        k=int(row["k"]), seed=int(row["seed"]), status=row.get("status", "ok"),
+        **{c: num(c) for c in METRIC_COLUMNS},
     )
-    return row
 
 
 def _row_key(row: dict) -> tuple:
-    return tuple(row[c] for c in ("method", "w1", "w2", "w3", "w4", "d", "epsilon", "tau", "k", "seed"))
+    return tuple(row[c] for c in KEY_COLUMNS)
 
 
 def _read_solutions_csv(path: Path) -> list[dict]:
-    import csv
-
     with open(path, "r", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
 def _write_solutions_csv(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    rows = sorted(rows, key=lambda r: (int(r["k"]), r["method"], _row_key(r)))
+    rows = sorted(rows, key=lambda r: (int(r["k"]), _row_key(r)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SOLUTION_COLUMNS)
         writer.writeheader()
@@ -162,15 +158,9 @@ def _naive_runs(scores, cfg, k, naive_counts):
 def _feir_runs(scores, cfg, k, naive_counts):
     grid_cfg = cfg.get("weight_grid")
     grid = [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
-    base = TrainConfig(
-        k=k,
-        weights=grid[0],
-        learning_rate=cfg.get("learning_rate", 10.0),
-        max_steps=cfg.get("max_steps", 2000),
-        convergence_tol=cfg.get("convergence_tol", 1e-6),
-        parametrization=cfg.get("parametrization", "logits"),
-        scaling=Scaling.from_dict(cfg.get("scaling", {"kind": "none"})),
-    )
+    if not grid:
+        raise ValueError("feir weight_grid must be non-empty")
+    base = TrainConfig.from_dict({**cfg, "k": k, "weights": astuple(grid[0])})
     for weights in grid:
         def solve(seed, weights=weights):
             policy = fit(scores, replace(base, weights=weights, seed=seed)).final_policy
@@ -274,7 +264,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 seed = master_seed if method == "naive" else derive_seed(
                     master_seed, method, params, k
                 )
-                key = _row_key(_key_row(method, params, k, seed))
+                key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -286,35 +276,10 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                     _save_artifacts(save_dir, point, counts, policy)
                 except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
                     point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
-                new_rows.append(_point_row(point))
+                new_rows.append(_solution_row(point))
 
     _write_solutions_csv(solutions_path, existing + new_rows)
     return solutions_path
-
-
-def _rows_to_points(rows: list[dict]) -> list[pareto.SolutionPoint]:
-    points = []
-    for r in rows:
-        params = {
-            name: float(r[name])
-            for name in ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
-            if r.get(name)
-        }
-
-        def num(col):
-            return float(r[col]) if r.get(col) else None
-
-        points.append(
-            pareto.SolutionPoint(
-                method=r["method"], params=params, k=int(r["k"]), seed=int(r["seed"]),
-                utility=num("utility"), envy=num("envy"), inferiority=num("inferiority"),
-                overall_fairness=None, utility_norm=num("utility_norm"),
-                inferiority_norm=num("inferiority_norm"), overall_norm=num("overall_norm"),
-                mean_rank=num("mean_rank"), mean_gap=num("mean_gap"), gini=num("gini"),
-                status=r.get("status", "ok"),
-            )
-        )
-    return points
 
 
 def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) -> tuple[Path, Path]:
@@ -333,12 +298,10 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
         if missing:
             raise ValueError(f"solutions file lacks columns: {sorted(missing)}")
     axes = (report_config or {}).get("axes", DEFAULT_REPORT_AXES)
-    points = _rows_to_points(rows)
+    points = [_solution_point(r) for r in rows]
     ks = sorted({p.k for p in points})
     methods = sorted({p.method for p in points})
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    import csv
 
     pareto_path = out_dir / "pareto.csv"
     hv_path = out_dir / "hv_table.csv"

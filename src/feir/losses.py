@@ -60,31 +60,17 @@ def hit_probability(P, k: int) -> np.ndarray:
     """Probability that an item is drawn at least once in k rolls: 1-(1-p)^k.
 
     Integer powers keep this a polynomial (valid even when an unconstrained
-    direct-mode iterate strays outside [0, 1]); probabilities within 1e-12 of
-    1 go through log1p to keep the complement accurate.
+    direct-mode iterate strays outside [0, 1]). They lose nothing near p = 1:
+    for p >= 0.5 the complement 1 - p is exact (Sterbenz lemma).
     """
-    P = np.asarray(P, dtype=float)
-    base = 1.0 - P
     with np.errstate(over="ignore"):
-        out = 1.0 - base ** int(k)
-    near_one = (P > 1.0 - 1e-12) & (P < 1.0)
-    if np.any(near_one):
-        safe = np.where(near_one, P, 0.5)
-        out = np.where(near_one, -np.expm1(k * np.log1p(-safe)), out)
-    return out
+        return 1.0 - (1.0 - np.asarray(P, dtype=float)) ** int(k)
 
 
 def hit_probability_grad(P, k: int) -> np.ndarray:
-    """d/dp of 1-(1-p)^k, i.e. k (1-p)^(k-1)."""
-    P = np.asarray(P, dtype=float)
-    base = 1.0 - P
+    """d/dp of 1-(1-p)^k, i.e. k (1-p)^(k-1), exact in 1 - p as above."""
     with np.errstate(over="ignore"):
-        out = k * base ** (int(k) - 1)
-    near_one = (P > 1.0 - 1e-12) & (P < 1.0)
-    if np.any(near_one):
-        safe = np.where(near_one, P, 0.5)
-        out = np.where(near_one, k * np.exp((k - 1) * np.log1p(-safe)), out)
-    return out
+        return k * (1.0 - np.asarray(P, dtype=float)) ** (int(k) - 1)
 
 
 def expected_user_utility(i: int, U, P, k: int) -> float:

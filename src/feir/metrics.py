@@ -89,14 +89,12 @@ def user_inferiority(i: int, i_star: int, S, C) -> float:
     return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
 
 
-def system_metrics(U, S, C, *, pair_normalizer: str = "users") -> SystemMetrics:
+def system_metrics(U, S, C) -> SystemMetrics:
     """System utility, envy, and inferiority of a realized recommendation.
 
     Utility is the per-user mean. Envy sums max(0, pairwise envy) and
     inferiority sums all pairwise deficits, each over ordered user pairs and
-    divided by the number of users m (not by the number of pairs). The
-    `pair_normalizer="pairs"` flag switches to m*(m-1) for cross-convention
-    comparisons; it is off by default.
+    divided by the number of users m, never by the number of pairs.
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -108,20 +106,14 @@ def system_metrics(U, S, C, *, pair_normalizer: str = "users") -> SystemMetrics:
         raise ValueError("count matrix rows must all sum to the same k")
     k = int(row_sums[0])
     m = U.shape[0]
-    if pair_normalizer == "users":
-        norm = float(m)
-    elif pair_normalizer == "pairs":
-        norm = float(max(1, m * (m - 1)))
-    else:
-        raise ValueError(f"unknown pair_normalizer {pair_normalizer!r}")
 
     utility = float(np.sum(U * C) / m)
     if m == 1:
         envy = inferiority = 0.0
     else:
         E = pair_envy_matrix(U, C, 1)
-        envy = float(np.sum(np.maximum(0.0, E)) / norm)
-        inferiority = float(np.sum(inferiority_by_user(S, C)) / norm)
+        envy = float(np.sum(np.maximum(0.0, E)) / m)
+        inferiority = float(np.sum(inferiority_by_user(S, C)) / m)
     return SystemMetrics(
         utility=utility,
         envy=envy,

@@ -1,7 +1,7 @@
 """Gradient-descent post-processing of a score matrix against the combined
 envy/inferiority/utility loss (`loss_and_grad`), with the four large-scale
 training views (mini-batching, user sampling, item sampling, user-item
-sampling) and weight sweeps that trace out trade-off solution sets.
+sampling) and the default weight grid that traces out the trade-off.
 
 Training is deterministic: every random choice derives from the config seed,
 and the none/minibatch(b=m)/user_sample(m_s=m)/item_sample(n_s=n) code paths
@@ -11,11 +11,11 @@ are arranged to produce bit-identical traces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import DimensionError, Policy, ScorePair, row_softmax, top_k
+from .core import DimensionError, Policy, ScorePair, row_softmax
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -25,14 +25,16 @@ from .losses import (
     _utility_loss_grad,
     softmax_grad_chain,
 )
-from .metrics import system_metrics
-from .pareto import SolutionPoint, failed_solution, make_solution
 
 CONVERGENCE_WINDOW = 10
 
 SCALING_KINDS = ("none", "minibatch", "user_sample", "item_sample", "user_item_sample")
 
 PARAMETRIZATIONS = ("logits", "direct")
+
+
+def _present_fields(cls, d: dict) -> dict:
+    return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,12 +85,8 @@ class Scaling:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaling":
-        return cls(
-            kind=d.get("kind", "none"),
-            b=d.get("b"),
-            m_s=d.get("m_s"),
-            n_s=d.get("n_s"),
-        )
+        """The fields present in d; the others keep their defaults."""
+        return cls(**_present_fields(cls, d))
 
 
 @dataclass(frozen=True)
@@ -188,17 +186,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        w = d["weights"]
-        return cls(
-            k=d["k"],
-            weights=LossWeights(*w),
-            learning_rate=d.get("learning_rate", 10.0),
-            max_steps=d.get("max_steps", 2000),
-            convergence_tol=d.get("convergence_tol", 1e-6),
-            parametrization=d.get("parametrization", "logits"),
-            scaling=Scaling.from_dict(d.get("scaling", {"kind": "none"})),
-            seed=d.get("seed", 0),
-        )
+        """The fields present in d, with `weights` as a list and `scaling` as
+        a dict; the others keep their defaults. Other keys are ignored."""
+        given = _present_fields(cls, d)
+        given["weights"] = LossWeights(*d["weights"])
+        if "scaling" in given:
+            given["scaling"] = Scaling.from_dict(given["scaling"])
+        return cls(**given)
 
 
 @dataclass
@@ -336,31 +330,6 @@ def default_weight_grid() -> list[LossWeights]:
     """Log-spaced envy/inferiority weights around a fixed utility anchor."""
     levels = (0.0, 0.1, 0.3, 1.0, 3.0, 10.0)
     return [LossWeights(w1, w2, 1.0, 0.0) for w1 in levels for w2 in levels]
-
-
-def sweep(scores: ScorePair, weight_grid: list[LossWeights], base_config: TrainConfig) -> list[SolutionPoint]:
-    """Fit once per weight vector and evaluate each final policy at top-k.
-
-    Runs are independent and deterministic; a failed fit becomes a point with
-    an error status instead of aborting the sweep. Metrics are normalized
-    against the naive recommendation at the same k.
-    """
-    if not weight_grid:
-        raise ValueError("weight grid must be non-empty")
-    k = base_config.k
-    naive_sys = system_metrics(scores.U, scores.S, top_k(scores.U, k))
-    points = []
-    for weights in weight_grid:
-        params = {"w1": weights.w1, "w2": weights.w2, "w3": weights.w3, "w4": weights.w4}
-        config = replace(base_config, weights=weights)
-        try:
-            trace = fit(scores, config)
-            counts = top_k(trace.final_policy.P, k)
-            point = make_solution("feir", params, k, config.seed, scores, counts, naive_sys)
-        except Exception as exc:  # noqa: BLE001 - recorded per point, sweep continues
-            point = failed_solution("feir", params, k, config.seed, f"error: {exc}")
-        points.append(point)
-    return points
 
 
 def coarse_search_learning_rate(

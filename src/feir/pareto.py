@@ -185,20 +185,3 @@ def min_fairness_above_threshold(points, phi_metric: str, t: float) -> float | N
         if p.status == "ok" and phi is not None and u is not None and u > t:
             values.append(phi)
     return min(values) if values else None
-
-
-def front_to_csv(front: Front2D, path) -> None:
-    """x, y, method, params, seed rows ready for external plotting."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "method", "params", "seed"])
-        for p in front.points:
-            writer.writerow([
-                format(p.metric(front.x_metric), ".12g"),
-                format(p.metric(front.y_metric), ".12g"),
-                p.method,
-                p.params_json(),
-                p.seed,
-            ])

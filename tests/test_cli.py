@@ -17,6 +17,7 @@ from feir.cli import (
     main,
 )
 from feir.core import load_matrix, save_matrix
+from feir.optim import Scaling, TrainConfig
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -172,6 +173,16 @@ class TestRun:
             cmd_run(config, tmp_path / "out")
         assert not (tmp_path / "out" / "solutions.csv").exists()
 
+    def test_empty_weight_grid_rejected(self, tmp_path, intro_dataset):
+        config = {
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1],
+            "methods": {"naive": {}, "feir": {"weight_grid": []}},
+        }
+        with pytest.raises(ValueError, match="weight_grid"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
     def test_missing_dataset_file(self, tmp_path):
         config = {"dataset": {"u_path": str(tmp_path / "ghost.csv")}, "methods": {"naive": {}}}
         with pytest.raises(FileNotFoundError):
@@ -201,6 +212,26 @@ class TestRun:
         }
         rows = read_rows(cmd_run(config, tmp_path / "out"))
         assert rows[0]["status"] == "ok"
+
+    def test_feir_config_passed_to_fit(self, tmp_path, intro_dataset, monkeypatch):
+        settings = {"learning_rate": 0.5, "max_steps": 7, "convergence_tol": 1e-3,
+                    "parametrization": "direct", "scaling": {"kind": "minibatch", "b": 1}}
+        configs = []
+        real_fit = feir.cli.fit
+        monkeypatch.setattr(feir.cli, "fit", lambda s, c: configs.append(c) or real_fit(s, c))
+        for name, feir_cfg in (("set", settings), ("omitted", {})):
+            config = {
+                "dataset": {"u_path": str(intro_dataset)},
+                "ks": [1],
+                "methods": {"feir": {"weight_grid": [[0, 1, 1, 0]], **feir_cfg}},
+            }
+            cmd_run(config, tmp_path / name)
+        given, default = configs
+        assert (given.learning_rate, given.max_steps, given.convergence_tol,
+                given.parametrization) == (0.5, 7, 1e-3, "direct")
+        assert given.scaling == Scaling(kind="minibatch", b=1)
+        defaults = TrainConfig(k=1, weights=default.weights, seed=default.seed)
+        assert default == defaults
 
     def test_end_to_end_determinism(self, tmp_path):
         config = {

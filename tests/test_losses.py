@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,13 @@ class TestHitProbability:
         h = 1e-7
         fd = (hit_probability(p + h, 4) - hit_probability(p - h, 4)) / (2 * h)
         np.testing.assert_allclose(hit_probability_grad(p, 4), fd, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_grad_exact_near_one(self, k):
+        # 1 - p is exact for p >= 0.5, so k (1-p)^(k-1) only rounds the power
+        p = np.array([1 - 1e-13, 1 - 5e-14])
+        exact = [float(k * (1 - Fraction(x)) ** (k - 1)) for x in p]
+        np.testing.assert_allclose(hit_probability_grad(p, k), exact, rtol=1e-15, atol=0)
 
 
 class TestSystemLosses:

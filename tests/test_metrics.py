@@ -83,14 +83,6 @@ class TestSystemLevel:
         sys = system_metrics(INTRO_U[:1], INTRO_S[:1], np.array([[1, 0, 0]]))
         assert sys.envy == 0.0 and sys.inferiority == 0.0
 
-    def test_pair_normalizer_flag(self):
-        C = np.array([[0, 0, 1], [0, 0, 1]])
-        users = system_metrics(INTRO_U, INTRO_S, C)
-        pairs = system_metrics(INTRO_U, INTRO_S, C, pair_normalizer="pairs")
-        assert pairs.inferiority == pytest.approx(users.inferiority * 2 / 2, abs=1e-12)
-        m = 2
-        assert pairs.inferiority * m * (m - 1) == pytest.approx(users.inferiority * m, abs=1e-12)
-
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(2, 10), st.integers(1, 3))
     def test_naive_recommendation_is_envy_free(self, seed, m, n, k):
         rng = np.random.default_rng(seed)

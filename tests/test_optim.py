@@ -1,9 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 
+import feir.cli
 import feir.optim as optim
+from feir.cli import cmd_run, derive_seed
 from feir.core import Policy, ScorePair, row_softmax, top_k
+from feir.datagen import GenSpec, generate
 from feir.losses import LossWeights
+from feir.metrics import system_metrics
 from feir.optim import (
     Scaling,
     TrainConfig,
@@ -12,8 +18,8 @@ from feir.optim import (
     default_weight_grid,
     fit,
     make_training_view,
-    sweep,
 )
+from feir.pareto import make_solution
 
 
 def random_pair(seed, m=5, n=8):
@@ -305,56 +311,64 @@ class TestViewLossAndGradient:
         assert float(rel.max()) < 1e-5
 
 
+def sweep_rows(tmp_path, dataset, grid, k, **feir_cfg):
+    """solutions.csv rows of a FEIR-only `feir run` over a weight grid."""
+    config = {
+        "seed": 5,
+        "dataset": dataset,
+        "ks": [k],
+        "methods": {"feir": {"weight_grid": grid, **feir_cfg}},
+    }
+    with open(cmd_run(config, tmp_path / "out")) as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestSweep:
-    def test_singleton_grid_matches_fit(self):
-        pair = random_pair(14)
+    """The FEIR weight sweep of `feir run`: one fit per grid point."""
+
+    def test_singleton_grid_matches_fit(self, tmp_path):
+        spec = {"family": "random", "m": 5, "n": 8, "seed": 14}
+        scaling = {"kind": "user_sample", "m_s": 3}  # the fit depends on its seed
+        rows = sweep_rows(tmp_path, spec, [[1, 1, 1, 0]], 2, learning_rate=10.0,
+                          max_steps=200, scaling=scaling)
+        assert len(rows) == 1 and rows[0]["status"] == "ok"
+
         weights = LossWeights(1, 1, 1, 0)
-        base = TrainConfig(k=2, weights=weights, learning_rate=10.0, max_steps=200, seed=3)
-        points = sweep(pair, [weights], base)
-        assert len(points) == 1
-        trace = fit(pair, base)
-        counts = top_k(trace.final_policy.P, 2)
-        from feir.metrics import system_metrics
+        params = {"w1": 1, "w2": 1, "w3": 1, "w4": 0}  # as the config spells them
+        seed = derive_seed(5, "feir", params, 2)
+        pair = generate(GenSpec(**spec))
+        config = TrainConfig(k=2, weights=weights, learning_rate=10.0, max_steps=200,
+                             scaling=Scaling.from_dict(scaling), seed=seed)
+        counts = top_k(fit(pair, config).final_policy.P, 2)
+        naive_sys = system_metrics(pair.U, pair.S, top_k(pair.U, 2))
+        point = make_solution("feir", params, 2, seed, pair, counts, naive_sys)
+        assert rows[0]["seed"] == str(seed)
+        for name in feir.cli.METRIC_COLUMNS:  # solutions.csv keeps 12 significant digits
+            assert rows[0][name] == format(point.metric(name), ".12g")
 
-        sys = system_metrics(pair.U, pair.S, counts)
-        assert points[0].utility == pytest.approx(sys.utility, abs=1e-12)
-        assert points[0].status == "ok"
+    def test_utility_anchor_dominates_utility_axis(self, tmp_path):
+        spec = {"family": "random", "m": 5, "n": 8, "seed": 16}
+        grid = [[0, 0, 1, 0], [1, 1, 1, 0], [3, 3, 1, 0]]
+        rows = sweep_rows(tmp_path, spec, grid, 2, learning_rate=10.0, max_steps=1000)
+        assert len(rows) == 3
+        anchor = next(float(r["utility_norm"]) for r in rows if r["w1"] == r["w2"] == "0")
+        assert all(anchor >= float(r["utility_norm"]) - 1e-12 for r in rows)
 
-    def test_duplicate_weights_identical_points(self):
-        pair = random_pair(15)
-        w = LossWeights(1, 2, 1, 0)
-        base = TrainConfig(k=2, weights=w, max_steps=100, seed=3)
-        a, b = sweep(pair, [w, w], base)
-        assert a == b
-
-    def test_utility_anchor_dominates_utility_axis(self):
-        pair = random_pair(16)
-        base = TrainConfig(k=2, weights=LossWeights(0, 0, 1, 0), learning_rate=10.0,
-                           max_steps=1000, seed=0)
-        grid = [LossWeights(0, 0, 1, 0), LossWeights(1, 1, 1, 0), LossWeights(3, 3, 1, 0)]
-        points = sweep(pair, grid, base)
-        anchor = points[0]
-        assert all(anchor.utility_norm >= p.utility_norm - 1e-12 for p in points)
-
-    def test_failures_recorded_not_raised(self, monkeypatch):
-        pair = random_pair(17)
-        base = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=10, seed=0)
-        real_fit = optim.fit
+    def test_failures_recorded_not_raised(self, tmp_path, monkeypatch):
+        real_fit = feir.cli.fit
 
         def flaky_fit(scores, config):
             if config.weights.w1 == 3.0:
                 raise TrainingDiverged("synthetic failure")
             return real_fit(scores, config)
 
-        monkeypatch.setattr(optim, "fit", flaky_fit)
-        points = sweep(pair, [LossWeights(1, 1, 1, 0), LossWeights(3, 1, 1, 0)], base)
-        assert points[0].status == "ok"
-        assert points[1].status.startswith("error:")
-        assert points[1].utility is None
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(random_pair(18), [], TrainConfig(k=1, weights=LossWeights(1, 1, 1)))
+        monkeypatch.setattr(feir.cli, "fit", flaky_fit)
+        spec = {"family": "random", "m": 5, "n": 8, "seed": 17}
+        rows = sweep_rows(tmp_path, spec, [[1, 1, 1, 0], [3, 1, 1, 0]], 2, max_steps=10)
+        by_w1 = {r["w1"]: r for r in rows}
+        assert by_w1["1"]["status"] == "ok"
+        assert by_w1["3"]["status"] == "error: synthetic failure"
+        assert by_w1["3"]["utility"] == ""
 
 
 def test_default_weight_grid_shape():

@@ -9,7 +9,6 @@ from feir.metrics import system_metrics
 from feir.pareto import (
     SolutionPoint,
     failed_solution,
-    front_to_csv,
     hypervolume_2d,
     make_solution,
     min_fairness_above_threshold,
@@ -159,14 +158,3 @@ class TestSolutionConstruction:
     def test_params_json_stable(self):
         p = failed_solution("feir", {"w2": 1.0, "w1": 2.0}, 5, 0, "x")
         assert p.params_json() == '{"w1":2.0,"w2":1.0}'
-
-
-def test_front_to_csv(tmp_path):
-    front = pareto_front(
-        [point(0.2, 0.97), point(0.5, 0.99)], "inferiority_norm", "utility_norm"
-    )
-    path = tmp_path / "front.csv"
-    front_to_csv(front, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,method,params,seed"
-    assert len(lines) == 3
