@@ -157,7 +157,9 @@ def _naive_runs(scores, cfg, k, naive_counts):
 
 def _feir_runs(scores, cfg, k, naive_counts):
     grid_cfg = cfg.get("weight_grid")
-    grid = [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
+    # weights are cast to float so that 1 and 1.0 derive the same seed and row key
+    grid = ([LossWeights(*map(float, w)) for w in grid_cfg] if grid_cfg is not None
+            else default_weight_grid())
     if not grid:
         raise ValueError("feir weight_grid must be non-empty")
     base = TrainConfig.from_dict({**cfg, "k": k, "weights": astuple(grid[0])})
@@ -175,7 +177,7 @@ def _shuffle_runs(scores, cfg, k, naive_counts):
 
 
 def _ca_runs(scores, cfg, k, naive_counts):
-    for eps in cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]):
+    for eps in map(float, cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])):
         def solve(seed, eps=eps):
             ca_cfg = baselines.CAConfig(
                 epsilon=eps,
@@ -189,7 +191,7 @@ def _ca_runs(scores, cfg, k, naive_counts):
 
 
 def _rr_runs(scores, cfg, k, naive_counts):
-    tau = cfg.get("tau", 0.0)
+    tau = float(cfg.get("tau", 0.0))
 
     def solve(seed):
         rr_cfg = baselines.RRConfig(tau=tau, seed=seed, exclusive=cfg.get("exclusive", True))
@@ -198,15 +200,17 @@ def _rr_runs(scores, cfg, k, naive_counts):
     yield {"tau": tau}, solve
 
 
-# Method name -> adapter, in run order. An adapter(scores, method_cfg, k,
-# naive_counts) yields one (params, solve) pair per run, where solve(seed)
-# returns (counts, policy or None).
+# Method name -> (adapter, the config keys it reads), in run order. An
+# adapter(scores, method_cfg, k, naive_counts) yields one (params, solve) pair
+# per run, where solve(seed) returns (counts, policy or None). Any other key
+# in a method's config is an error.
 METHODS = {
-    "naive": _naive_runs,
-    "feir": _feir_runs,
-    "shuffle": _shuffle_runs,
-    "ca": _ca_runs,
-    "rr": _rr_runs,
+    "naive": (_naive_runs, ()),
+    "feir": (_feir_runs, ("weight_grid", "learning_rate", "max_steps", "convergence_tol",
+                          "parametrization", "scaling")),
+    "shuffle": (_shuffle_runs, ("d",)),
+    "ca": (_ca_runs, ("epsilons", "max_iters", "marginal_tol")),
+    "rr": (_rr_runs, ("tau", "exclusive")),
 }
 
 
@@ -232,7 +236,8 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     dataset or the method's other settings, so a changed config keeps the
     old rows. solutions.csv is written once, at the end, so an interrupted
     run leaves it unchanged. Failures become rows with an error status and
-    the run continues.
+    the run continues. An unknown method name, or a key its adapter does not
+    read (see METHODS), raises ValueError before anything is solved.
     """
     methods = config.get("methods", {})
     if not methods:
@@ -240,6 +245,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         raise ValueError(f"unknown methods {unknown}; valid methods are {list(METHODS)}")
+    for method, cfg in methods.items():
+        valid = METHODS[method][1]
+        extra = sorted(set(cfg) - set(valid))
+        if extra:
+            raise ValueError(f"unknown {method} config keys {extra}; valid keys are {list(valid)}")
     scores, _ = _dataset_scores(config)
     master_seed = config.get("seed", 0)
     ks = config.get("ks", DEFAULT_KS)
@@ -256,7 +266,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     for k in ks:
         naive_counts = top_k(scores.U, k)
         naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
-        for method, runs in METHODS.items():
+        for method, (runs, _) in METHODS.items():
             if method not in methods:
                 continue
             for params, solve in runs(scores, methods[method], k, naive_counts):

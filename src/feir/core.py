@@ -70,15 +70,18 @@ def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarra
 
 
 def save_matrix(matrix, path) -> None:
-    """Write a matrix as headerless CSV with full float round-trip precision."""
+    """Write a matrix as headerless CSV with full float round-trip precision.
+
+    Every value is printed as `%.17g`, one matrix row per line, so floats
+    read back bit-exact and integer counts print as plain digits.
+    """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("save_matrix requires a non-empty 2-D matrix")
+    template = ",".join(["%.17g"] * M.shape[1]) + "\n"
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in M:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        fh.writelines(template % tuple(row.tolist()) for row in M)
 
 
 def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None) -> Path:

@@ -187,7 +187,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """The fields present in d, with `weights` as a list and `scaling` as
-        a dict; the others keep their defaults. Other keys are ignored."""
+        a dict; the others keep their defaults. Keys that name no field are
+        not read here; `feir run` rejects them in a method config before it
+        builds this."""
         given = _present_fields(cls, d)
         given["weights"] = LossWeights(*d["weights"])
         if "scaling" in given:

@@ -157,3 +157,12 @@ def hypervolume_mc(points, ref, samples=200_000, seed=0):
     for x, y in qual:
         covered |= (xs >= x) & (ys <= y)
     return float(covered.mean() * box)
+
+
+def save_matrix_per_element(matrix, path):
+    """Reference CSV matrix writer: one `format(v, ".17g")` call per
+    element. `core.save_matrix` must write exactly these bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in np.asarray(matrix):
+            fh.write(",".join(format(v, ".17g") for v in row))
+            fh.write("\n")

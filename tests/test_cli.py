@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from feir.cli import (
     derive_seed,
     main,
 )
-from feir.core import load_matrix, save_matrix
+from feir.core import load_matrix, save_matrix, top_k
 from feir.optim import Scaling, TrainConfig
 
 
@@ -199,6 +200,80 @@ class TestRun:
         files = sorted(p.name for p in (tmp_path / "out" / "matrices").iterdir())
         assert any("naive" in f and "counts" in f for f in files)
         assert any("ca" in f and "policy" in f for f in files)
+
+    def test_saved_matrices_read_back_exactly(self, tmp_path, intro_dataset, monkeypatch):
+        config = {
+            "seed": 5,
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1, 2],
+            "methods": {"naive": {}, "feir": {"weight_grid": [[0, 1, 1, 0]], "max_steps": 20},
+                        "ca": {"epsilons": [0.01, 0.1]}},
+        }
+        saved = {}
+        real_save = feir.cli.save_matrix
+
+        def record(M, path):
+            saved[path.name] = M
+            real_save(M, path)
+
+        monkeypatch.setattr(feir.cli, "save_matrix", record)
+        cmd_run(config, tmp_path / "out", save_matrices=True)
+        matrices = tmp_path / "out" / "matrices"
+        assert sorted(p.name for p in matrices.iterdir()) == sorted(saved)
+        assert len(saved) == 2 * (1 + 2 + 2 * 2)  # per k: naive counts, feir and ca both
+        U = load_matrix(intro_dataset)
+        for name in saved:
+            back = load_matrix(matrices / name)
+            if name.endswith("_policy.csv"):
+                assert np.array_equal(back.view(np.uint64), saved[name].view(np.uint64))
+                continue
+            k = int(name.split("_")[1][1:])
+            policy_name = name.replace("_counts.csv", "_policy.csv")
+            P = saved[policy_name] if policy_name in saved else U  # naive: top_k of U
+            np.testing.assert_array_equal(back, top_k(P, k).C)
+
+    def test_integer_spelled_params_share_one_row(self, tmp_path, intro_dataset):
+        out = tmp_path / "out"
+        spellings = (
+            {"feir": {"weight_grid": [[1, 3, 1, 0]], "max_steps": 20},
+             "ca": {"epsilons": [1]}, "rr": {"tau": 0}},
+            {"feir": {"weight_grid": [[1.0, 3.0, 1.0, 0.0]], "max_steps": 20},
+             "ca": {"epsilons": [1.0]}, "rr": {"tau": 0.0}},
+        )
+        for methods in spellings:
+            config = {"seed": 8, "dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                      "methods": methods}
+            rows = read_rows(cmd_run(config, out))
+        assert sorted(r["method"] for r in rows) == ["ca", "feir", "rr"]
+
+    @pytest.mark.parametrize("method, cfg, unknown", [
+        ("feir", {"learning_rat": 0.5, "max_step": 5}, ["learning_rat", "max_step"]),
+        ("ca", {"epsilon": [0.5]}, ["epsilon"]),
+        ("rr", {"tau": 0.1, "seed": 3}, ["seed"]),
+        ("shuffle", {"D": 2}, ["D"]),
+        ("naive", {"k": 1}, ["k"]),
+    ])
+    def test_unknown_method_keys_rejected(self, tmp_path, intro_dataset, monkeypatch,
+                                          method, cfg, unknown):
+        fits = []
+        monkeypatch.setattr(feir.cli, "fit", lambda *a: fits.append(a))
+        config = {
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1],
+            "methods": {"feir": {"weight_grid": [[0, 1, 1, 0]]}, method: cfg},
+        }
+        valid = list(feir.cli.METHODS[method][1])
+        with pytest.raises(ValueError) as err:
+            cmd_run(config, tmp_path / "out")
+        assert str(err.value) == f"unknown {method} config keys {unknown}; valid keys are {valid}"
+        assert fits == []
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
+    def test_readme_config_keys_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        for method, cfg in json.loads(block)["methods"].items():
+            assert set(cfg) <= set(feir.cli.METHODS[method][1]), method
 
     def test_feir_scaling_config_plumbed_through(self, tmp_path):
         config = {

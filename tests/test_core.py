@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,17 @@ from feir.core import (
 )
 
 INTRO_U = np.array([[0.2, 0.6, 0.9], [0.1, 0.8, 0.7]])
+
+# Matrices the CSV writer must print exactly as the per-element oracle does.
+WRITER_CASES = {
+    "float_edges": np.array([
+        [0.1, 5e-324, 1e-300, 1.0 - 2.0**-53, -0.0],
+        [np.nan, np.inf, -np.inf, 1.7976931348623157e308, 1.0 / 3.0],
+    ]),
+    "int64_counts": np.random.default_rng(3).multinomial(10, [1 / 6] * 6, size=4).astype(np.int64),
+    "one_by_one": np.array([[0.7]]),
+    "one_by_n": np.random.default_rng(4).uniform(0.001, 0.999, size=(1, 9)),
+}
 
 
 class TestMatrixIO:
@@ -67,6 +79,29 @@ class TestMatrixIO:
         path = tmp_path / "one.csv"
         save_matrix(np.array([[0.5]]), path)
         assert path.read_text().strip() == "0.5"
+
+    @pytest.mark.parametrize("name", list(WRITER_CASES))
+    def test_save_writes_oracle_bytes_and_reads_back(self, tmp_path, name):
+        M = WRITER_CASES[name]
+        path, expected = tmp_path / "m.csv", tmp_path / "oracle.csv"
+        save_matrix(M, path)
+        oracles.save_matrix_per_element(M, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        back = load_matrix(path)
+        assert back.shape == M.shape
+        # bit-equal, so -0.0 keeps its sign and nan compares equal to itself
+        assert np.array_equal(back.view(np.uint64), M.astype(float).view(np.uint64))
+
+    def test_count_matrix_prints_plain_digits(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_matrix(np.array([[0, 1, 12], [3, 0, 10]], dtype=np.int64), path)
+        assert path.read_text() == "0,1,12\n3,0,10\n"
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2, 2))])
+    def test_save_rejects_non_matrix(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            save_matrix(bad, tmp_path / "m.csv")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_save_to_directory_raises(self, tmp_path):
         with pytest.raises(OSError):

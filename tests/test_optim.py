@@ -334,7 +334,7 @@ class TestSweep:
         assert len(rows) == 1 and rows[0]["status"] == "ok"
 
         weights = LossWeights(1, 1, 1, 0)
-        params = {"w1": 1, "w2": 1, "w3": 1, "w4": 0}  # as the config spells them
+        params = {"w1": 1.0, "w2": 1.0, "w3": 1.0, "w4": 0.0}  # weights are read as floats
         seed = derive_seed(5, "feir", params, 2)
         pair = generate(GenSpec(**spec))
         config = TrainConfig(k=2, weights=weights, learning_rate=10.0, max_steps=200,
