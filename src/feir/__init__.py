@@ -46,7 +46,6 @@ from .metrics import (
     competition_metrics,
     gini_index,
     inferiority_by_user,
-    metrics_record,
     normalized_metrics,
     system_metrics,
     user_envy,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
 from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
-from .losses import LossWeights
+from .losses import LossWeights, SuitabilityOrder
 from .optim import TrainConfig, default_weight_grid, fit, loss_and_grad
 
 PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
@@ -261,11 +261,13 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     existing = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
     seen = {_row_key(r) for r in existing}
     save_dir = out_dir / "matrices" if save_matrices else None
+    # S is fixed for the run, so every evaluation shares one sort of it
+    order = SuitabilityOrder(scores.S)
 
     new_rows = []
     for k in ks:
         naive_counts = top_k(scores.U, k)
-        naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
+        naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts, order=order)
         for method, (runs, _) in METHODS.items():
             if method not in methods:
                 continue
@@ -281,7 +283,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 try:
                     counts, policy = solve(seed)
                     point = pareto.make_solution(
-                        method, params, k, seed, scores, counts, naive_sys
+                        method, params, k, seed, scores, counts, naive_sys, order
                     )
                     _save_artifacts(save_dir, point, counts, policy)
                 except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues

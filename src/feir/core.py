@@ -255,17 +255,24 @@ def row_softmax(Z) -> np.ndarray:
 def top_k(P, k: int) -> CountMatrix:
     """Deterministic rounding: mark the k largest entries of each row with 1.
 
-    Ties break toward the lowest column index so results are reproducible.
+    Ties break toward the lowest column index so results are reproducible;
+    -0.0 and 0.0 tie. A NaN entry has no rank and raises NumericError.
     """
     M = P.P if isinstance(P, Policy) else np.asarray(P, dtype=float)
     m, n = M.shape
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")
-    # stable sort on negated values keeps the lowest index first among ties
-    order = np.argsort(-M, axis=1, kind="stable")[:, :k]
-    C = np.zeros((m, n), dtype=np.int64)
-    np.put_along_axis(C, order, 1, axis=1)
-    return CountMatrix(C=C, k=k)
+    if np.isnan(M).any():
+        raise NumericError("top_k input contains NaN")
+    # no full sort: every entry above a row's k-th largest value is in, and
+    # the slots left go to the lowest-index entries equal to it
+    kth = np.partition(M, n - k, axis=1)[:, n - k, None]
+    above = M > kth
+    tied = M == kth
+    slots_left = k - above.sum(axis=1, keepdims=True)
+    if np.any(tied.sum(axis=1, keepdims=True) > slots_left):
+        tied &= np.cumsum(tied, axis=1) <= slots_left
+    return CountMatrix(C=(above | tied).astype(np.int64), k=k)
 
 
 def sample_recommendations(policy: Policy, k: int | None = None, seed: int = 0) -> CountMatrix:

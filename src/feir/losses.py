@@ -18,6 +18,7 @@ the pairwise expectation, with subgradient 0 on the inactive branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +140,10 @@ class SuitabilityOrder:
     Gaps are >= 0, so with non-negative weights every term is >= 0 and a sum
     with no positive deficit is exactly 0. The sort need not be stable: tied
     users sit across a zero gap and get identical sums in any order.
+
+    S never changes during a fit or a run, so one order serves all of it.
+    The `sorted_*` methods work in sorted coordinates (`gather`), which lets
+    a caller gather its inputs once and scatter only its results.
     """
 
     def __init__(self, S):
@@ -147,64 +152,92 @@ class SuitabilityOrder:
         self._flat = np.argsort(S, axis=0) * S.shape[1] + np.arange(S.shape[1])
         self._gap = np.diff(np.take(S, self._flat), axis=0)
 
-    def _sorted(self, w) -> np.ndarray:
+    def gather(self, w) -> np.ndarray:
+        """w in sorted coordinates: [r, j] is w's entry for the user at
+        sorted position r on item j."""
         return np.take(np.asarray(w, dtype=float), self._flat)
 
-    def _unsorted(self, x: np.ndarray) -> np.ndarray:
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """The inverse of `gather`: x back in user coordinates."""
         out = np.empty_like(x)
         out.reshape(-1)[self._flat] = x
         return out
+
+    @cached_property
+    def users(self) -> np.ndarray:
+        """[r, j] = the user at sorted position r on item j."""
+        return self._flat // self._flat.shape[1]
+
+    @cached_property
+    def _run_end(self) -> np.ndarray:
+        # flat sorted-layout index of the last position of each position's
+        # tie run; a run ends at a positive gap or at the top
+        m, n = self._flat.shape
+        is_end = np.ones((m, n), dtype=bool)
+        is_end[:-1] = self._gap > 0
+        end = np.where(is_end, np.arange(m)[:, None], m - 1)
+        end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+        return end * n + np.arange(n)
 
     @staticmethod
     def _weight_above(ws: np.ndarray) -> np.ndarray:
         # row r of the (m-1, n) result sums the sorted weights ws[r+1:]
         return np.cumsum(ws[:0:-1], axis=0)[::-1]
 
+    def sorted_shortfall(self, ws: np.ndarray) -> np.ndarray:
+        """`shortfall` of the gathered weights, in sorted coordinates."""
+        out = np.zeros_like(ws)
+        out[:-1] = np.cumsum((self._gap * self._weight_above(ws))[::-1], axis=0)[::-1]
+        return out
+
+    def sorted_lead(self, vs: np.ndarray) -> np.ndarray:
+        """[r, j] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
+        position r, with vs = gather(v): how far the weighted users below t
+        trail it on item j, in sorted coordinates."""
+        out = np.zeros_like(vs)
+        out[1:] = np.cumsum(self._gap * np.cumsum(vs[:-1], axis=0), axis=0)
+        return out
+
     def shortfall(self, w) -> np.ndarray:
         """[i, j] = sum_t d[i, t, j] * w[t, j]: how far user i trails the
         weighted users above it on item j."""
-        ws = self._sorted(w)
-        out = np.zeros_like(ws)
-        out[:-1] = np.cumsum((self._gap * self._weight_above(ws))[::-1], axis=0)[::-1]
-        return self._unsorted(out)
-
-    def lead(self, v) -> np.ndarray:
-        """[t, j] = sum_i d[i, t, j] * v[i, j]: how far the weighted users
-        below user t trail it on item j."""
-        vs = self._sorted(v)
-        out = np.zeros_like(vs)
-        out[1:] = np.cumsum(self._gap * np.cumsum(vs[:-1], axis=0), axis=0)
-        return self._unsorted(out)
+        return self.scatter(self.sorted_shortfall(self.gather(w)))
 
     def weight_strictly_above(self, w) -> np.ndarray:
         """[i, j] = sum of w[t, j] over the users t with S[t, j] > S[i, j]."""
-        ws = self._sorted(w)
-        m = ws.shape[0]
+        ws = self.gather(w)
         above = np.zeros_like(ws)
         above[:-1] = self._weight_above(ws)
-        # a tie run ends at a positive gap or at the top; each member reads
-        # the weight above the run's last position
-        is_end = np.ones(ws.shape, dtype=bool)
-        is_end[:-1] = self._gap > 0
-        end = np.where(is_end, np.arange(m)[:, None], m - 1)
-        end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
-        return self._unsorted(np.take_along_axis(above, end, axis=0))
+        # each member of a tie run reads the weight above the run's last position
+        return self.scatter(np.take(above, self._run_end))
 
 
-def _inferiority_loss_grad(S, P, k, f_rows, m_norm):
+def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
-    user), divided by m_norm, plus its gradient w.r.t. every row of P."""
-    q = hit_probability(P, k)
-    qg = hit_probability_grad(P, k)
-    measured = np.zeros((P.shape[0], 1))
+    user), divided by m_norm, plus its gradient w.r.t. every row of P.
+
+    `order` is S's SuitabilityOrder when the caller holds one (None builds
+    it). The work runs in sorted coordinates: P is gathered once, and only
+    the loss terms and the gradient are scattered back.
+    """
+    if order is None:
+        order = SuitabilityOrder(S)
+    Ps = order.gather(P)
+    q = hit_probability(Ps, k)
+    qg = hit_probability_grad(Ps, k)
+    shortfall = order.sorted_shortfall(q)
+    measured = np.zeros(P.shape[0])
     measured[f_rows] = 1.0
-    q_measured = q * measured
-    order = SuitabilityOrder(S)
-    shortfall = order.shortfall(q)
-    loss = float(np.sum(q_measured * shortfall) / m_norm)
+    if measured.all():  # a factor of 1.0 changes nothing, so skip the products
+        q_measured, own = q, shortfall
+    else:
+        measured = measured[order.users]
+        q_measured, own = q * measured, measured * shortfall
+    # summed in user coordinates, in the order of a kernel that never sorts
+    loss = float(np.sum(order.scatter(q_measured * shortfall)) / m_norm)
     # a user's row gets its role as measured user i (if in f_rows) and as rival t
-    grad = qg * (measured * shortfall + order.lead(q_measured))
-    return loss, grad / m_norm
+    grad = qg * (own + order.sorted_lead(q_measured))
+    return loss, order.scatter(grad) / m_norm
 
 
 def _penalty_loss_grad(P):

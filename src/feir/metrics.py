@@ -89,12 +89,15 @@ def user_inferiority(i: int, i_star: int, S, C) -> float:
     return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
 
 
-def system_metrics(U, S, C) -> SystemMetrics:
+def system_metrics(U, S, C, order: SuitabilityOrder | None = None,
+                   deficits: np.ndarray | None = None) -> SystemMetrics:
     """System utility, envy, and inferiority of a realized recommendation.
 
     Utility is the per-user mean. Envy sums max(0, pairwise envy) and
     inferiority sums all pairwise deficits, each over ordered user pairs and
-    divided by the number of users m, never by the number of pairs.
+    divided by the number of users m, never by the number of pairs. A caller
+    that already holds S's SuitabilityOrder, or `overlap_deficits(S, C)`,
+    passes it to skip recomputing it.
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -113,7 +116,9 @@ def system_metrics(U, S, C) -> SystemMetrics:
     else:
         E = pair_envy_matrix(U, C, 1)
         envy = float(np.sum(np.maximum(0.0, E)) / m)
-        inferiority = float(np.sum(inferiority_by_user(S, C)) / m)
+        if deficits is None:
+            deficits = overlap_deficits(S, C, order)
+        inferiority = float(np.sum(deficits.sum(axis=1)) / m)
     return SystemMetrics(
         utility=utility,
         envy=envy,
@@ -123,14 +128,29 @@ def system_metrics(U, S, C) -> SystemMetrics:
     )
 
 
+def overlap_deficits(S, C, order: SuitabilityOrder | None = None) -> np.ndarray:
+    """[i, j] = sum over the other users t who also received item j of
+    max(0, S[t, j] - S[i, j]), for every item j user i received (0 elsewhere).
+
+    Row sums are each user's outgoing inferiority; `order` is S's
+    SuitabilityOrder when the caller holds one (None builds it).
+    """
+    C = _counts(C)
+    if np.shape(S) != C.shape:
+        raise DimensionError(f"shape mismatch: S {np.shape(S)}, C {C.shape}")
+    B = (C > 0).astype(float)
+    if order is None:
+        order = SuitabilityOrder(S)
+    return B * order.shortfall(B)
+
+
 def inferiority_by_user(S, C) -> np.ndarray:
     """Total outgoing inferiority of each user, summed over all rivals.
 
     The mean of this vector over any user subset gives that group's
     inferiority; the mean over everyone times m recovers the system pair sum.
     """
-    B = (_counts(C) > 0).astype(float)
-    return np.sum(B * SuitabilityOrder(S).shortfall(B), axis=1)
+    return np.sum(overlap_deficits(S, C), axis=1)
 
 
 def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> NormalizedMetrics:
@@ -151,13 +171,15 @@ def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> 
     )
 
 
-def competition_metrics(S, C, k: int | None = None) -> CompetitionMetrics:
+def competition_metrics(S, C, k: int | None = None, order: SuitabilityOrder | None = None,
+                        deficits: np.ndarray | None = None) -> CompetitionMetrics:
     """Per-user competition indicators on a binary recommendation.
 
     For each recommended item, a user's rivals are the strictly more suitable
     users who received the same item. rank(i) averages rival counts over the
     k slots; gap(i) averages the mean suitability shortfall against those
-    rivals (a slot with no rivals contributes 0).
+    rivals (a slot with no rivals contributes 0). `order` and `deficits` are
+    as in `system_metrics`.
     """
     S = np.asarray(S, dtype=float)
     C = _counts(C)
@@ -165,10 +187,11 @@ def competition_metrics(S, C, k: int | None = None) -> CompetitionMetrics:
     if k is None:
         k = int(C[0].sum())
     B = C.astype(float)
-    order = SuitabilityOrder(S)
+    if order is None:
+        order = SuitabilityOrder(S)
     # rivals of i on item j: the picked users strictly more suitable than i
     rival_counts = B * order.weight_strictly_above(B)
-    gap_sums = B * order.shortfall(B)
+    gap_sums = overlap_deficits(S, C, order) if deficits is None else deficits
     rank_per_user = rival_counts.sum(axis=1) / k
     gap_per_user = np.sum(gap_sums / np.maximum(1.0, rival_counts), axis=1) / k
     rank_per_user.setflags(write=False)
@@ -196,17 +219,3 @@ def gini_index(C) -> float:
         return 0.0
     idx = np.arange(1, n + 1)
     return float(np.sum((2 * idx - n - 1) * x) / (n * total))
-
-
-def metrics_record(system: SystemMetrics, competition: CompetitionMetrics, gini: float) -> dict:
-    """Flat JSON-ready record of the full deterministic evaluation."""
-    return {
-        "utility": system.utility,
-        "envy": system.envy,
-        "inferiority": system.inferiority,
-        "overall_fairness": system.overall_fairness,
-        "mean_rank": competition.mean_rank,
-        "mean_gap": competition.mean_gap,
-        "gini": gini,
-        "k": system.k,
-    }

@@ -19,6 +19,7 @@ from .core import DimensionError, Policy, ScorePair, row_softmax
 from .losses import (
     LossBreakdown,
     LossWeights,
+    SuitabilityOrder,
     _envy_loss_grad,
     _inferiority_loss_grad,
     _penalty_loss_grad,
@@ -216,7 +217,8 @@ class TrainTrace:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
 def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
-                  view: TrainingView | None = None) -> tuple[LossBreakdown, np.ndarray]:
+                  view: TrainingView | None = None,
+                  order: SuitabilityOrder | None = None) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted combined loss at the parameters, and its analytic gradient
     w.r.t. them.
 
@@ -225,7 +227,9 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
     "direct": params is the probability matrix itself and the simplex penalty
     is active. The envy hinge uses subgradient 0 at the kink. The terms are
     evaluated on `view` (default: the full instance) and scattered back into
-    a full-size gradient.
+    a full-size gradient. `order` is S's SuitabilityOrder, which a view over
+    every user and item reuses (None builds it); a sampled view builds the
+    order of its sub-instance.
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -242,7 +246,9 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
     mv = view.users.size
     l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv)
     l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
-    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv)
+    if mv != U.shape[0] or view.items.size != U.shape[1]:
+        order = None
+    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
     scale = view.item_scale
     l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
     G = np.zeros_like(P)
@@ -305,10 +311,12 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     breakdowns: list[LossBreakdown] = []
     totals: list[float] = []
     start = time.perf_counter()
+    # S is fixed, so the views over every user and item share one sort of it
+    order = SuitabilityOrder(S) if config.scaling.kind in ("none", "minibatch") else None
     for step in range(config.max_steps):
         view = make_training_view(scores, config.scaling, step, config.seed)
         breakdown, G = loss_and_grad(
-            U, S, params, config.k, config.weights, config.parametrization, view
+            U, S, params, config.k, config.weights, config.parametrization, view, order
         )
         _check_finite(breakdown, step)
         breakdowns.append(breakdown)

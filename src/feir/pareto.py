@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CountMatrix, ScorePair
+from .losses import SuitabilityOrder
 from .metrics import (
     SystemMetrics,
     competition_metrics,
     gini_index,
     normalized_metrics,
+    overlap_deficits,
     system_metrics,
 )
 
@@ -74,11 +76,19 @@ def make_solution(
     scores: ScorePair,
     counts: CountMatrix,
     naive_system: SystemMetrics,
+    order: SuitabilityOrder | None = None,
 ) -> SolutionPoint:
-    """Evaluate a realized recommendation into a SolutionPoint."""
-    sys = system_metrics(scores.U, scores.S, counts)
+    """Evaluate a realized recommendation into a SolutionPoint.
+
+    The system and competition metrics share one SuitabilityOrder of S
+    (`order`, or one built here) and one `overlap_deficits` matrix.
+    """
+    if order is None:
+        order = SuitabilityOrder(scores.S)
+    deficits = overlap_deficits(scores.S, counts, order)
+    sys = system_metrics(scores.U, scores.S, counts, deficits=deficits)
     norm = normalized_metrics(sys, naive_system)
-    comp = competition_metrics(scores.S, counts, k)
+    comp = competition_metrics(scores.S, counts, k, order=order, deficits=deficits)
     return SolutionPoint(
         method=method,
         params=params,

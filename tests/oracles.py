@@ -4,6 +4,7 @@ keep it slow and obvious."""
 
 import numpy as np
 
+from feir.core import CountMatrix
 from feir.losses import hit_probability, hit_probability_grad
 
 
@@ -166,3 +167,14 @@ def save_matrix_per_element(matrix, path):
         for row in np.asarray(matrix):
             fh.write(",".join(format(v, ".17g") for v in row))
             fh.write("\n")
+
+
+def top_k_argsort(M, k):
+    """Reference top-k rounding by a full stable sort of each row's negated
+    values, which keeps the lowest index first among ties. `core.top_k` must
+    mark exactly these entries."""
+    M = np.asarray(M, dtype=float)
+    order = np.argsort(-M, axis=1, kind="stable")[:, :k]
+    C = np.zeros(M.shape, dtype=np.int64)
+    np.put_along_axis(C, order, 1, axis=1)
+    return CountMatrix(C=C, k=k)

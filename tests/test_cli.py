@@ -308,6 +308,16 @@ class TestRun:
         defaults = TrainConfig(k=1, weights=default.weights, seed=default.seed)
         assert default == defaults
 
+    def test_one_sort_for_evaluation_plus_one_per_fit(self, tmp_path, order_builds):
+        config = {
+            "seed": 3, "ks": [5], "dataset": {"family": "user_groups", "m": 20, "n": 100},
+            "methods": {"naive": {}, "ca": {"epsilons": [0.01]},
+                        "feir": {"weight_grid": [[1, 1, 1, 0], [1, 3, 1, 0]], "max_steps": 20}},
+        }
+        rows = read_rows(cmd_run(config, tmp_path))
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert order_builds == [(20, 100)] * (1 + 2)
+
     def test_end_to_end_determinism(self, tmp_path):
         config = {
             "seed": 6,

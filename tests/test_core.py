@@ -1,7 +1,7 @@
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feir.core import (
@@ -219,6 +219,29 @@ class TestTopK:
     def test_softmax_preserves_ranking(self, seed):
         Z = np.random.default_rng(seed).normal(size=(3, 7))
         np.testing.assert_array_equal(top_k(row_softmax(Z), 3).C, top_k(Z, 3).C)
+
+    @settings(max_examples=200)
+    @given(
+        levels=st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, -1.0, np.inf]),
+                        min_size=1, max_size=4),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 9)),
+        data=st.data(),
+    )
+    def test_matches_stable_argsort_on_heavy_ties(self, levels, shape, data):
+        m, n = shape
+        cells = data.draw(st.lists(st.sampled_from(levels), min_size=m * n, max_size=m * n),
+                          label="cells")
+        M = np.array(cells).reshape(m, n)
+        k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+        np.testing.assert_array_equal(top_k(M, k).C, oracles.top_k_argsort(M, k).C)
+
+    def test_signed_zeros_tie_by_index(self):
+        M = np.array([[-0.0, 0.0, -0.0, -1.0], [0.0, -0.0, 0.0, -1.0]])
+        assert top_k(M, 2).C.tolist() == [[1, 1, 0, 0], [1, 1, 0, 0]]
+
+    def test_nan_rejected(self):
+        with pytest.raises(NumericError):
+            top_k(np.array([[0.1, np.nan, 0.3]]), 1)
 
 
 class TestSampling:

@@ -9,6 +9,7 @@ import oracles
 from feir.core import DimensionError, row_softmax
 from feir.losses import (
     LossWeights,
+    SuitabilityOrder,
     _inferiority_loss_grad,
     expected_pair_envy,
     expected_pair_inferiority,
@@ -224,6 +225,12 @@ class TestInferiorityKernel:
         atol = 0.0 if in_range else 1e-12 * 2 * m * n * q * max(q, qg)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
+        # a caller's order, reused with its cached pieces, gives the same bits
+        order = SuitabilityOrder(S)
+        for _ in range(2):
+            shared_loss, shared_grad = _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=order)
+            assert shared_loss == loss
+            np.testing.assert_array_equal(shared_grad, grad)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
     def test_shared_scores_through_loss_and_grad(self, seed, m, n):

@@ -9,7 +9,6 @@ from feir.metrics import (
     competition_metrics,
     gini_index,
     inferiority_by_user,
-    metrics_record,
     normalized_metrics,
     system_metrics,
     user_envy,
@@ -258,15 +257,3 @@ class TestGini:
         C = top_k(rng.uniform(size=(5, 7)), 2).C
         perm = rng.permutation(7)
         assert gini_index(C[:, perm]) == pytest.approx(gini_index(C), abs=1e-12)
-
-
-def test_metrics_record_shape():
-    C = top_k(INTRO_U, 1)
-    sys = system_metrics(INTRO_U, INTRO_S, C)
-    comp = competition_metrics(INTRO_S, C, 1)
-    record = metrics_record(sys, comp, gini_index(C))
-    assert set(record) == {
-        "utility", "envy", "inferiority", "overall_fairness",
-        "mean_rank", "mean_gap", "gini", "k",
-    }
-    assert record["k"] == 1

@@ -8,7 +8,7 @@ import feir.optim as optim
 from feir.cli import cmd_run, derive_seed
 from feir.core import Policy, ScorePair, row_softmax, top_k
 from feir.datagen import GenSpec, generate
-from feir.losses import LossWeights
+from feir.losses import LossWeights, SuitabilityOrder
 from feir.metrics import system_metrics
 from feir.optim import (
     Scaling,
@@ -255,6 +255,25 @@ class TestScalingEquivalence:
         assert losses_of(partial) != losses_of(full)
 
 
+class TestSharedOrder:
+    """S is sorted once per fit wherever every step sees every user and item."""
+
+    @pytest.mark.parametrize("scaling", [Scaling(), Scaling(kind="minibatch", b=2)])
+    def test_one_sort_per_fit(self, order_builds, scaling):
+        pair = random_pair(4, 6, 8)
+        config = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=30,
+                             convergence_tol=0.0, scaling=scaling)
+        assert fit(pair, config).step_count == 30
+        assert order_builds == [(6, 8)]
+
+    def test_sampled_views_sort_their_sub_instance(self, order_builds):
+        pair = random_pair(4, 6, 8)
+        config = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=5,
+                             convergence_tol=0.0, scaling=Scaling(kind="user_sample", m_s=3))
+        fit(pair, config)
+        assert order_builds == [(3, 8)] * 5
+
+
 class TestViewLossAndGradient:
     """The sliced/scattered view path against independent references."""
 
@@ -304,11 +323,16 @@ class TestViewLossAndGradient:
             )
             return breakdown.total
 
-        _, analytic = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view)
+        breakdown, analytic = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view)
         numeric = finite_diff_grad(view_loss, Z, 1e-5)
         scale = max(np.abs(numeric).max(), 1e-12)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3 * scale)
         assert float(rel.max()) < 1e-5
+        # the full instance's order serves a full view; a sampled view sorts its own
+        shared = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view,
+                                     SuitabilityOrder(pair.S))
+        assert shared[0] == breakdown
+        np.testing.assert_array_equal(shared[1], analytic)
 
 
 def sweep_rows(tmp_path, dataset, grid, k, **feir_cfg):

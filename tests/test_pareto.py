@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import feir.pareto
 import oracles
-from feir.core import ScorePair, top_k
-from feir.metrics import system_metrics
+from feir.core import DimensionError, ScorePair, top_k
+from feir.losses import SuitabilityOrder
+from feir.metrics import competition_metrics, gini_index, normalized_metrics, system_metrics
 from feir.pareto import (
+    METRIC_FIELDS,
     SolutionPoint,
     failed_solution,
     hypervolume_2d,
@@ -150,6 +153,48 @@ class TestSolutionConstruction:
         assert p.utility_norm == pytest.approx(1.0, abs=1e-12)
         assert p.envy == 0.0
         assert p.status == "ok"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fused_evaluation_matches_separate_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n, k = 7, 9, 3
+        # one decimal makes tied suitabilities, and rivals among them, common
+        S = np.round(rng.uniform(0.05, 0.95, (m, n)), 1)
+        pair = ScorePair(rng.uniform(0.01, 0.99, (m, n)), S)
+        naive_sys = system_metrics(pair.U, pair.S, top_k(pair.U, k))
+        counts = top_k(rng.uniform(size=(m, n)), k)
+        sys = system_metrics(pair.U, pair.S, counts)
+        norm = normalized_metrics(sys, naive_sys)
+        comp = competition_metrics(pair.S, counts, k)
+        separate = {**vars(sys), **vars(norm), "mean_rank": comp.mean_rank,
+                    "mean_gap": comp.mean_gap, "gini": gini_index(counts)}
+        for order in (None, SuitabilityOrder(pair.S)):
+            p = make_solution("x", {}, k, 0, pair, counts, naive_sys, order)
+            assert [p.metric(f) for f in METRIC_FIELDS] == [separate[f] for f in METRIC_FIELDS]
+
+    def test_make_solution_calls_each_metric_seam_once(self, monkeypatch, order_builds):
+        calls = []
+        for name in ("system_metrics", "competition_metrics"):
+            def seam(*args, _name=name, _f=getattr(feir.pareto, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(feir.pareto, name, seam)
+        rng = np.random.default_rng(5)
+        pair = ScorePair.single(rng.uniform(0.01, 0.99, (5, 6)))
+        counts = top_k(pair.U, 2)
+        make_solution("naive", {}, 2, 0, pair, counts, system_metrics(pair.U, pair.S, counts))
+        assert sorted(calls) == ["competition_metrics", "system_metrics"]
+        # one order for the naive system_metrics call above, one for make_solution
+        assert len(order_builds) == 2
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (5, 6), (4, 7)])
+    def test_mismatched_counts_rejected(self, shape):
+        pair = ScorePair.single(np.random.default_rng(0).uniform(0.01, 0.99, (4, 6)))
+        naive_sys = system_metrics(pair.U, pair.S, top_k(pair.U, 2))
+        counts = top_k(np.random.default_rng(1).uniform(size=shape), 2)
+        with pytest.raises(DimensionError):
+            make_solution("x", {}, 2, 0, pair, counts, naive_sys)
 
     def test_failed_solution_has_no_metrics(self):
         p = failed_solution("feir", {"w1": 1.0}, 5, 0, "error: nope")
