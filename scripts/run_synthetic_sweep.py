@@ -25,7 +25,9 @@ def experiment_config(family: str, seed: int) -> dict:
             "feir": {"learning_rate": 10.0, "max_steps": 2000, "convergence_tol": 1e-6},
             "shuffle": {},
             "ca": {"epsilons": [0.0003, 0.001, 0.003, 0.01, 0.03, 0.1]},
-            "rr": {"tau": 0.3},
+            # exclusive allocation needs m*k <= n, and at k=10 every family
+            # has m*k > n (200 vs 100 for the group families, 500 vs 50 for su_pair)
+            "rr": {"tau": 0.3, "exclusive": False},
         },
     }
 

@@ -23,7 +23,6 @@ from .core import (
     load_matrix,
     load_scores,
     row_softmax,
-    sample_recommendations,
     save_matrix,
     top_k,
 )
@@ -57,7 +56,6 @@ from .optim import (
     TrainConfig,
     TrainingDiverged,
     TrainTrace,
-    coarse_search_learning_rate,
     default_weight_grid,
     fit,
     loss_and_grad,

@@ -28,6 +28,8 @@ class CAConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.marginal_tol <= 0:
             raise ValueError("marginal_tol must be positive")
 

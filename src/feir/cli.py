@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import astuple, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines, datagen, losses, metrics, pareto
 from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
 from .losses import LossWeights, SuitabilityOrder
-from .optim import TrainConfig, default_weight_grid, fit, loss_and_grad
+from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
 PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
 KEY_COLUMNS = ["method", *PARAM_COLUMNS, "k", "seed"]
@@ -59,37 +59,48 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _dataset_scores(config: dict) -> tuple[ScorePair, str]:
+def _reject_unknown(what: str, cfg: dict, valid) -> None:
+    extra = sorted(set(cfg) - set(valid))
+    if extra:
+        raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
+
+
+# The two dataset forms: score files, or a synthetic generator's GenSpec
+# (whose loc and scale stay at their defaults).
+DATASET_FILE_KEYS = ("u_path", "s_path")
+DATASET_GEN_KEYS = ("family", "m", "n", "seed", "group_fraction", "group_boost")
+
+
+def _dataset_scores(config: dict) -> ScorePair:
     ds = config["dataset"]
-    if "u_path" in ds:
-        u_path = Path(ds["u_path"])
-        if not u_path.exists():
-            raise FileNotFoundError(f"dataset file {u_path} does not exist")
-        s_path = ds.get("s_path")
-        if s_path is not None and not Path(s_path).exists():
-            raise FileNotFoundError(f"dataset file {s_path} does not exist")
-        return load_scores(u_path, s_path), u_path.stem
-    spec = _gen_spec(ds, config.get("seed", 0))
-    return datagen.generate(spec), spec.family
+    if "u_path" not in ds:
+        return datagen.generate(_gen_spec(config))
+    _reject_unknown("dataset", ds, DATASET_FILE_KEYS)
+    u_path = Path(ds["u_path"])
+    if not u_path.exists():
+        raise FileNotFoundError(f"dataset file {u_path} does not exist")
+    s_path = ds.get("s_path")
+    if s_path is not None and not Path(s_path).exists():
+        raise FileNotFoundError(f"dataset file {s_path} does not exist")
+    return load_scores(u_path, s_path)
 
 
-def _gen_spec(ds: dict, master_seed: int) -> datagen.GenSpec:
-    return datagen.GenSpec(
-        family=ds["family"],
-        m=ds.get("m"),
-        n=ds.get("n"),
-        seed=ds.get("seed", master_seed),
-        group_fraction=ds.get("group_fraction", 0.5),
-        group_boost=ds.get("group_boost", 0.3),
-    )
+def _gen_spec(config: dict) -> datagen.GenSpec:
+    ds = config["dataset"]
+    if "family" not in ds:
+        raise ValueError(
+            f"dataset needs 'u_path' (keys {list(DATASET_FILE_KEYS)}) or 'family' "
+            f"(keys {list(DATASET_GEN_KEYS)})"
+        )
+    _reject_unknown("dataset", ds, DATASET_GEN_KEYS)
+    return datagen.GenSpec(**{"seed": config.get("seed", 0), **ds})
 
 
 def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     """Write the configured synthetic dataset as CSV files plus sidecars."""
-    ds = config["dataset"]
-    if "family" not in ds:
+    if "family" not in config["dataset"]:
         raise ValueError("generate needs a dataset with a 'family' entry")
-    spec = _gen_spec(ds, config.get("seed", 0))
+    spec = _gen_spec(config)
     scores = datagen.generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -156,13 +167,17 @@ def _naive_runs(scores, cfg, k, naive_counts):
 
 
 def _feir_runs(scores, cfg, k, naive_counts):
+    settings = {key: value for key, value in cfg.items() if key != "weight_grid"}
+    if "scaling" in settings:
+        _reject_unknown("feir scaling", settings["scaling"], [f.name for f in fields(Scaling)])
+        settings["scaling"] = Scaling(**settings["scaling"])
     grid_cfg = cfg.get("weight_grid")
     # weights are cast to float so that 1 and 1.0 derive the same seed and row key
     grid = ([LossWeights(*map(float, w)) for w in grid_cfg] if grid_cfg is not None
             else default_weight_grid())
     if not grid:
         raise ValueError("feir weight_grid must be non-empty")
-    base = TrainConfig.from_dict({**cfg, "k": k, "weights": astuple(grid[0])})
+    base = TrainConfig(k=k, weights=grid[0], **settings)
     for weights in grid:
         def solve(seed, weights=weights):
             policy = fit(scores, replace(base, weights=weights, seed=seed)).final_policy
@@ -177,33 +192,32 @@ def _shuffle_runs(scores, cfg, k, naive_counts):
 
 
 def _ca_runs(scores, cfg, k, naive_counts):
-    for eps in map(float, cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])):
-        def solve(seed, eps=eps):
-            ca_cfg = baselines.CAConfig(
-                epsilon=eps,
-                max_iters=cfg.get("max_iters", 20000),
-                marginal_tol=cfg.get("marginal_tol", 1e-9),
-            )
+    settings = {key: value for key, value in cfg.items() if key != "epsilons"}
+    epsilons = map(float, cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]))
+    ca_cfgs = [baselines.CAConfig(epsilon=eps, **settings) for eps in epsilons]
+    for ca_cfg in ca_cfgs:
+        def solve(seed, ca_cfg=ca_cfg):
             policy = baselines.congestion_alleviation(scores, k, ca_cfg)
             return top_k(policy.P, k), policy
 
-        yield {"epsilon": eps}, solve
+        yield {"epsilon": ca_cfg.epsilon}, solve
 
 
 def _rr_runs(scores, cfg, k, naive_counts):
-    tau = float(cfg.get("tau", 0.0))
+    rr_cfg = baselines.RRConfig(**cfg)
 
     def solve(seed):
-        rr_cfg = baselines.RRConfig(tau=tau, seed=seed, exclusive=cfg.get("exclusive", True))
-        return baselines.round_robin(scores.U, scores.S, k, rr_cfg), None
+        return baselines.round_robin(scores.U, scores.S, k, replace(rr_cfg, seed=seed)), None
 
-    yield {"tau": tau}, solve
+    yield {"tau": float(rr_cfg.tau)}, solve
 
 
 # Method name -> (adapter, the config keys it reads), in run order. An
 # adapter(scores, method_cfg, k, naive_counts) yields one (params, solve) pair
 # per run, where solve(seed) returns (counts, policy or None). Any other key
-# in a method's config is an error.
+# in a method's config is an error. An adapter builds its settings objects
+# before its first yield, so a setting that is invalid whatever the data
+# raises there; only solve's failures become error rows.
 METHODS = {
     "naive": (_naive_runs, ()),
     "feir": (_feir_runs, ("weight_grid", "learning_rate", "max_steps", "convergence_tol",
@@ -235,9 +249,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     a re-run only computes the missing rows. The key does not cover the
     dataset or the method's other settings, so a changed config keeps the
     old rows. solutions.csv is written once, at the end, so an interrupted
-    run leaves it unchanged. Failures become rows with an error status and
-    the run continues. An unknown method name, or a key its adapter does not
-    read (see METHODS), raises ValueError before anything is solved.
+    run leaves it unchanged. Failures that depend on the data become rows
+    with an error status and the run continues. An unknown method name, a
+    key its adapter does not read (see METHODS), an unknown dataset key, or
+    a setting its dataclass rejects raises ValueError before anything is
+    solved or written.
     """
     methods = config.get("methods", {})
     if not methods:
@@ -246,11 +262,8 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     if unknown:
         raise ValueError(f"unknown methods {unknown}; valid methods are {list(METHODS)}")
     for method, cfg in methods.items():
-        valid = METHODS[method][1]
-        extra = sorted(set(cfg) - set(valid))
-        if extra:
-            raise ValueError(f"unknown {method} config keys {extra}; valid keys are {list(valid)}")
-    scores, _ = _dataset_scores(config)
+        _reject_unknown(method, cfg, METHODS[method][1])
+    scores = _dataset_scores(config)
     master_seed = config.get("seed", 0)
     ks = config.get("ks", DEFAULT_KS)
     ks = sorted({k for k in ks if 1 <= k <= scores.n})
@@ -268,27 +281,28 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     for k in ks:
         naive_counts = top_k(scores.U, k)
         naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts, order=order)
-        for method, (runs, _) in METHODS.items():
-            if method not in methods:
+        # every adapter builds its settings before the first solve at this k
+        runs = [(method, params, solve)
+                for method, (adapter, _) in METHODS.items() if method in methods
+                for params, solve in adapter(scores, methods[method], k, naive_counts)]
+        for method, params, solve in runs:
+            # the naive list is deterministic; its row carries the master seed
+            seed = master_seed if method == "naive" else derive_seed(
+                master_seed, method, params, k
+            )
+            key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
+            if key in seen:
                 continue
-            for params, solve in runs(scores, methods[method], k, naive_counts):
-                # the naive list is deterministic; its row carries the master seed
-                seed = master_seed if method == "naive" else derive_seed(
-                    master_seed, method, params, k
+            seen.add(key)
+            try:
+                counts, policy = solve(seed)
+                point = pareto.make_solution(
+                    method, params, k, seed, scores, counts, naive_sys, order
                 )
-                key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    counts, policy = solve(seed)
-                    point = pareto.make_solution(
-                        method, params, k, seed, scores, counts, naive_sys, order
-                    )
-                    _save_artifacts(save_dir, point, counts, policy)
-                except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
-                    point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
-                new_rows.append(_solution_row(point))
+                _save_artifacts(save_dir, point, counts, policy)
+            except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
+                point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
+            new_rows.append(_solution_row(point))
 
     _write_solutions_csv(solutions_path, existing + new_rows)
     return solutions_path

@@ -1,10 +1,8 @@
 """Shared data model: score matrices, stochastic policies, count matrices, and
-the deterministic/probabilistic bridge (row softmax, top-k rounding, multinomial
-sampling).
+the bridge from scores to lists (row softmax, deterministic top-k rounding).
 
 All matrix containers are immutable after construction and safe to share across
-threads. Randomized operations take an explicit seed and own their generator;
-there is no module-level RNG state.
+threads.
 """
 
 from __future__ import annotations
@@ -92,14 +90,6 @@ def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return meta_path
-
-
-def read_sidecar(matrix_path) -> dict | None:
-    meta_path = Path(matrix_path).with_suffix(".meta.json")
-    if not meta_path.exists():
-        return None
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _frozen_copy(arr, dtype=float) -> np.ndarray:
@@ -234,9 +224,6 @@ class CountMatrix:
     def n(self) -> int:
         return self.C.shape[1]
 
-    def is_binary(self) -> bool:
-        return bool(np.all((self.C == 0) | (self.C == 1)))
-
 
 def row_softmax(Z) -> np.ndarray:
     """Row-wise softmax with row-max subtraction as the overflow guard.
@@ -273,17 +260,3 @@ def top_k(P, k: int) -> CountMatrix:
     if np.any(tied.sum(axis=1, keepdims=True) > slots_left):
         tied &= np.cumsum(tied, axis=1) <= slots_left
     return CountMatrix(C=(above | tied).astype(np.int64), k=k)
-
-
-def sample_recommendations(policy: Policy, k: int | None = None, seed: int = 0) -> CountMatrix:
-    """Draw each user's list as k independent rolls of their n-sided die.
-
-    Row i of the result is one multinomial(k, P[i]) sample; repeats are
-    possible and show up as counts above 1. Deterministic for a given seed.
-    """
-    if k is None:
-        k = policy.k
-    rng = np.random.default_rng(seed)
-    P = policy.P / policy.P.sum(axis=1, keepdims=True)  # exact simplex for the sampler
-    C = rng.multinomial(k, P)
-    return CountMatrix(C=C, k=k)

@@ -11,7 +11,7 @@ are arranged to produce bit-identical traces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +32,6 @@ CONVERGENCE_WINDOW = 10
 SCALING_KINDS = ("none", "minibatch", "user_sample", "item_sample", "user_item_sample")
 
 PARAMETRIZATIONS = ("logits", "direct")
-
-
-def _present_fields(cls, d: dict) -> dict:
-    return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,14 +76,6 @@ class Scaling:
             raise ValueError(f"user sample m_s={self.m_s} exceeds m={m}")
         if self.n_s is not None and self.n_s > n:
             raise ValueError(f"item sample n_s={self.n_s} exceeds n={n}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "b": self.b, "m_s": self.m_s, "n_s": self.n_s}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scaling":
-        """The fields present in d; the others keep their defaults."""
-        return cls(**_present_fields(cls, d))
 
 
 @dataclass(frozen=True)
@@ -172,30 +160,6 @@ class TrainConfig:
             raise ValueError("convergence_tol must be >= 0")
         if self.parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "weights": [self.weights.w1, self.weights.w2, self.weights.w3, self.weights.w4],
-            "learning_rate": self.learning_rate,
-            "max_steps": self.max_steps,
-            "convergence_tol": self.convergence_tol,
-            "parametrization": self.parametrization,
-            "scaling": self.scaling.to_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """The fields present in d, with `weights` as a list and `scaling` as
-        a dict; the others keep their defaults. Keys that name no field are
-        not read here; `feir run` rejects them in a method config before it
-        builds this."""
-        given = _present_fields(cls, d)
-        given["weights"] = LossWeights(*d["weights"])
-        if "scaling" in given:
-            given["scaling"] = Scaling.from_dict(given["scaling"])
-        return cls(**given)
 
 
 @dataclass
@@ -340,25 +304,3 @@ def default_weight_grid() -> list[LossWeights]:
     """Log-spaced envy/inferiority weights around a fixed utility anchor."""
     levels = (0.0, 0.1, 0.3, 1.0, 3.0, 10.0)
     return [LossWeights(w1, w2, 1.0, 0.0) for w1 in levels for w2 in levels]
-
-
-def coarse_search_learning_rate(
-    scores: ScorePair,
-    config: TrainConfig,
-    candidates=(0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0),
-    probe_steps: int = 50,
-) -> float:
-    """Pick the candidate rate with the lowest probe loss that stays finite."""
-    best_lr, best_total = None, np.inf
-    for lr in candidates:
-        probe = replace(config, learning_rate=lr, max_steps=probe_steps)
-        try:
-            trace = fit(scores, probe)
-        except TrainingDiverged:
-            continue
-        total = trace.steps[-1].total
-        if np.isfinite(total) and total < best_total:
-            best_lr, best_total = lr, total
-    if best_lr is None:
-        raise TrainingDiverged("no candidate learning rate produced a finite loss")
-    return best_lr

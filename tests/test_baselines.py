@@ -121,6 +121,8 @@ class TestCongestionAlleviation:
             CAConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             CAConfig(epsilon=0.1, marginal_tol=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            CAConfig(epsilon=0.1, max_iters=0)
 
 
 class TestRoundRobin:

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import feir.baselines
 import feir.cli
+from feir.baselines import CAConfig, RRConfig
 from feir.cli import (
     DEFAULT_REPORT_AXES,
     SOLUTION_COLUMNS,
@@ -269,11 +271,89 @@ class TestRun:
         assert fits == []
         assert not (tmp_path / "out" / "solutions.csv").exists()
 
+    @pytest.mark.parametrize("dataset, unknown, valid", [
+        ({"family": "random", "m": 4, "n": 5, "sead": 3}, ["sead"],
+         ["family", "m", "n", "seed", "group_fraction", "group_boost"]),
+        ({"family": "user_groups", "group_fractoin": 0.2, "loc": 0.4}, ["group_fractoin", "loc"],
+         ["family", "m", "n", "seed", "group_fraction", "group_boost"]),
+        ({"u_path": None, "s_paht": "S.csv"}, ["s_paht"], ["u_path", "s_path"]),
+    ])
+    def test_unknown_dataset_keys_rejected(self, tmp_path, intro_dataset, dataset, unknown,
+                                           valid):
+        if "u_path" in dataset:
+            dataset = {**dataset, "u_path": str(intro_dataset)}
+        config = {"dataset": dataset, "ks": [1], "methods": {"naive": {}}}
+        with pytest.raises(ValueError) as err:
+            cmd_run(config, tmp_path / "out")
+        assert str(err.value) == f"unknown dataset config keys {unknown}; valid keys are {valid}"
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
+    def test_dataset_needs_a_form(self, tmp_path):
+        config = {"dataset": {"m": 4, "n": 5}, "ks": [1], "methods": {"naive": {}}}
+        with pytest.raises(ValueError, match=r"'u_path'.*'family'"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_scaling_keys_rejected(self, tmp_path, intro_dataset, monkeypatch):
+        fits = []
+        monkeypatch.setattr(feir.cli, "fit", lambda *a: fits.append(a))
+        config = {
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1],
+            "methods": {"naive": {}, "feir": {"weight_grid": [[0, 1, 1, 0]],
+                                              "scaling": {"kind": "none", "bb": 3}}},
+        }
+        with pytest.raises(ValueError) as err:
+            cmd_run(config, tmp_path / "out")
+        assert str(err.value) == ("unknown feir scaling config keys ['bb']; "
+                                  "valid keys are ['kind', 'b', 'm_s', 'n_s']")
+        assert fits == []
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
+    @pytest.mark.parametrize("method, bad, fixed", [
+        ("ca", {"epsilons": [0.01], "marginal_tol": 0}, {"epsilons": [0.01], "marginal_tol": 1e-9}),
+        ("ca", {"epsilons": [-1]}, {"epsilons": [0.01]}),
+        ("ca", {"epsilons": [0.01], "max_iters": 0}, {"epsilons": [0.01], "max_iters": 100}),
+        ("rr", {"tau": 1.5}, {"tau": 0.5}),
+    ])
+    def test_invalid_settings_raise_before_solving(self, tmp_path, intro_dataset, monkeypatch,
+                                                   method, bad, fixed):
+        fits = []
+        real_fit = feir.cli.fit
+        monkeypatch.setattr(feir.cli, "fit", lambda s, c: fits.append(c) or real_fit(s, c))
+        out = tmp_path / "out"
+        feir_cfg = {"weight_grid": [[0, 1, 1, 0]], "max_steps": 10}
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"naive": {}, "feir": feir_cfg, method: bad}}
+        with pytest.raises(ValueError):
+            cmd_run(config, out)
+        assert fits == []
+        assert not (out / "solutions.csv").exists()
+        # the corrected config, run into the same directory, gets no stale error row
+        config["methods"][method] = fixed
+        rows = read_rows(cmd_run(config, out))
+        assert [r["status"] for r in rows] == ["ok"] * 3
+
+    def test_baseline_defaults_come_from_their_dataclasses(self, tmp_path, intro_dataset,
+                                                           monkeypatch):
+        seen = []
+        for name in ("congestion_alleviation", "round_robin"):
+            real = getattr(feir.baselines, name)
+            monkeypatch.setattr(feir.baselines, name,
+                                lambda *a, _real=real: seen.append(a[-1]) or _real(*a))
+        config = {"seed": 2, "dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"ca": {"epsilons": [0.05]}, "rr": {}}}
+        rows = read_rows(cmd_run(config, tmp_path / "out"))
+        rr_seed = int(next(r["seed"] for r in rows if r["method"] == "rr"))
+        assert seen == [CAConfig(epsilon=0.05), RRConfig(seed=rr_seed)]
+
     def test_readme_config_keys_valid(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-        for method, cfg in json.loads(block)["methods"].items():
+        block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(block["dataset"]) <= set(feir.cli.DATASET_GEN_KEYS)
+        for method, cfg in block["methods"].items():
             assert set(cfg) <= set(feir.cli.METHODS[method][1]), method
+        Scaling(**block["methods"]["feir"]["scaling"])
 
     def test_feir_scaling_config_plumbed_through(self, tmp_path):
         config = {

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import oracles
 import pytest
@@ -13,9 +15,7 @@ from feir.core import (
     ScorePair,
     load_matrix,
     load_scores,
-    read_sidecar,
     row_softmax,
-    sample_recommendations,
     save_matrix,
     top_k,
     write_sidecar,
@@ -111,9 +111,8 @@ class TestMatrixIO:
         path = tmp_path / "m.csv"
         save_matrix(np.array([[0.5, 0.25]]), path)
         write_sidecar(path, 1, 2, k=1, seed=7, generator="random(...)")
-        meta = read_sidecar(path)
+        meta = json.loads(path.with_suffix(".meta.json").read_text())
         assert meta == {"m": 1, "n": 2, "k": 1, "seed": 7, "generator": "random(...)"}
-        assert read_sidecar(tmp_path / "other.csv") is None
 
     def test_load_scores_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -242,31 +241,3 @@ class TestTopK:
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             top_k(np.array([[0.1, np.nan, 0.3]]), 1)
-
-
-class TestSampling:
-    def test_degenerate_row(self):
-        policy = Policy(P=np.array([[1.0, 0.0, 0.0]]), k=3)
-        C = sample_recommendations(policy, seed=5)
-        assert C.C.tolist() == [[3, 0, 0]]
-
-    def test_seed_determinism(self):
-        policy = Policy(P=np.full((4, 5), 0.2), k=3)
-        a = sample_recommendations(policy, seed=11)
-        b = sample_recommendations(policy, seed=11)
-        np.testing.assert_array_equal(a.C, b.C)
-
-    def test_row_sums_with_repetition(self):
-        # k above n forces repeated items; the count rows still sum to k
-        policy = Policy(P=np.full((6, 4), 0.25), k=3)
-        C = sample_recommendations(policy, k=7, seed=3)
-        assert (C.C.sum(axis=1) == 7).all()
-        assert C.C.max() > 1
-
-    def test_uniform_frequencies(self):
-        # 1e5 single-draw users approximate the uniform marginal
-        reps = 100_000
-        policy = Policy(P=np.full((reps, 4), 0.25), k=1)
-        C = sample_recommendations(policy, seed=42)
-        freqs = C.C.mean(axis=0)
-        np.testing.assert_allclose(freqs, 0.25, atol=0.01)
