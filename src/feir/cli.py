@@ -65,6 +65,9 @@ def _reject_unknown(what: str, cfg: dict, valid) -> None:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
 
 
+# The keys of a run config; main also reads output_dir from it.
+TOP_LEVEL_KEYS = ("seed", "output_dir", "dataset", "ks", "methods")
+
 # The two dataset forms: score files, or a synthetic generator's GenSpec
 # (whose loc and scale stay at their defaults).
 DATASET_FILE_KEYS = ("u_path", "s_path")
@@ -187,7 +190,11 @@ def _feir_runs(scores, cfg, k, naive_counts):
 
 
 def _shuffle_runs(scores, cfg, k, naive_counts):
-    d = cfg.get("d") or min(3 * k, scores.n)
+    d = cfg.get("d")
+    if d is None:
+        d = min(3 * k, scores.n)
+    elif d < 1:
+        raise ValueError(f"shuffle d must be >= 1, got {d}")
     yield {"d": d}, lambda seed: (baselines.shuffle(scores, k, d=d, seed=seed), None)
 
 
@@ -250,11 +257,14 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     dataset or the method's other settings, so a changed config keeps the
     old rows. solutions.csv is written once, at the end, so an interrupted
     run leaves it unchanged. Failures that depend on the data become rows
-    with an error status and the run continues. An unknown method name, a
-    key its adapter does not read (see METHODS), an unknown dataset key, or
-    a setting its dataclass rejects raises ValueError before anything is
-    solved or written.
+    with an error status and the run continues. An unknown top-level key
+    (see TOP_LEVEL_KEYS), an unknown method name, a key its adapter does not
+    read (see METHODS), an unknown dataset key, an explicit k outside
+    [1, n], a shuffle d below 1, or a setting its dataclass rejects raises
+    ValueError before anything is solved or written. Without `ks`, the
+    DEFAULT_KS up to n are run.
     """
+    _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
@@ -265,8 +275,14 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
         _reject_unknown(method, cfg, METHODS[method][1])
     scores = _dataset_scores(config)
     master_seed = config.get("seed", 0)
-    ks = config.get("ks", DEFAULT_KS)
-    ks = sorted({k for k in ks if 1 <= k <= scores.n})
+    ks = config.get("ks")
+    if ks is None:
+        ks = [k for k in DEFAULT_KS if k <= scores.n]
+    else:
+        outside = [k for k in ks if not 1 <= k <= scores.n]
+        if outside:
+            raise ValueError(f"ks {outside} outside [1, {scores.n}]")
+    ks = sorted(set(ks))
     if not ks:
         raise ValueError(f"no valid k for n={scores.n}")
     out_dir.mkdir(parents=True, exist_ok=True)

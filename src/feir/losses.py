@@ -1,7 +1,8 @@
 """Differentiable expected utility, envy, and inferiority under the multinomial
 recommendation model, their hand-derived gradients, and the oracles (finite
 differences, Monte Carlo) that keep the closed forms honest. The weighted
-combination of the terms is `optim.loss_and_grad`.
+combination of the terms is `optim.Objective` (`optim.loss_and_grad` for a
+single evaluation).
 
 For a policy row P[i] and list length k, the per-user expectations are
 
@@ -112,16 +113,23 @@ def pair_envy_matrix(U, P, k: int) -> np.ndarray:
     return E
 
 
-def _utility_loss_grad(U, P, k, m_norm):
+# Each term's (loss, grad) function returns (loss, None) when called with
+# with_grad=False, for a caller whose weight on the term is 0.
+
+
+def _utility_loss_grad(U, P, k, m_norm, with_grad=True):
     loss = -(k / m_norm) * float(np.sum(P * U))
-    grad = -(k / m_norm) * U
-    return loss, grad
+    if not with_grad:
+        return loss, None
+    return loss, -(k / m_norm) * U
 
 
-def _envy_loss_grad(U, P, k, m_norm):
+def _envy_loss_grad(U, P, k, m_norm, with_grad=True):
     E = pair_envy_matrix(U, P, k)
     active = E > 0.0
     loss = float(np.sum(np.where(active, E, 0.0)) / m_norm)
+    if not with_grad:
+        return loss, None
     A = active.astype(float)
     # d/dP[t]: +k U[i] for every active pair (i, t); d/dP[i]: -k U[i] per active pair
     grad = (k / m_norm) * (A.T @ U - A.sum(axis=1)[:, None] * U)
@@ -212,19 +220,19 @@ class SuitabilityOrder:
         return self.scatter(np.take(above, self._run_end))
 
 
-def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
+def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
     user), divided by m_norm, plus its gradient w.r.t. every row of P.
 
     `order` is S's SuitabilityOrder when the caller holds one (None builds
     it). The work runs in sorted coordinates: P is gathered once, and only
-    the loss terms and the gradient are scattered back.
+    the loss terms and the gradient are scattered back. with_grad=False
+    stops after the loss.
     """
     if order is None:
         order = SuitabilityOrder(S)
     Ps = order.gather(P)
     q = hit_probability(Ps, k)
-    qg = hit_probability_grad(Ps, k)
     shortfall = order.sorted_shortfall(q)
     measured = np.zeros(P.shape[0])
     measured[f_rows] = 1.0
@@ -235,14 +243,19 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
         q_measured, own = q * measured, measured * shortfall
     # summed in user coordinates, in the order of a kernel that never sorts
     loss = float(np.sum(order.scatter(q_measured * shortfall)) / m_norm)
+    if not with_grad:
+        return loss, None
+    qg = hit_probability_grad(Ps, k)
     # a user's row gets its role as measured user i (if in f_rows) and as rival t
     grad = qg * (own + order.sorted_lead(q_measured))
     return loss, order.scatter(grad) / m_norm
 
 
-def _penalty_loss_grad(P):
+def _penalty_loss_grad(P, with_grad=True):
     residual = P.sum(axis=1) - 1.0
     loss = float(np.sum(residual**2))
+    if not with_grad:
+        return loss, None
     grad = np.broadcast_to(2.0 * residual[:, None], P.shape).copy()
     return loss, grad
 
@@ -254,7 +267,7 @@ def softmax_grad_chain(P, G) -> np.ndarray:
 
 def penalty_loss(P_raw) -> float:
     """Squared deviation of each row sum from 1, summed over rows."""
-    loss, _ = _penalty_loss_grad(np.asarray(P_raw, dtype=float))
+    loss, _ = _penalty_loss_grad(np.asarray(P_raw, dtype=float), with_grad=False)
     return loss
 
 

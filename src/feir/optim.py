@@ -10,6 +10,7 @@ are arranged to produce bit-identical traces.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -179,12 +180,92 @@ class TrainTrace:
                 )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
+class Objective:
+    """The weighted combined loss on one instance and its analytic gradient
+    w.r.t. the parameters (see `loss_and_grad`), built once per fit.
+
+    It checks U, S and the parametrization once and holds what no step
+    changes: the full view, the weighted utility gradient of a view over
+    every user and item, and S's order (None lets each step build its own).
+    A term whose weight is 0 still reports its loss but skips its gradient
+    pass. Leaving a 0 * g term out of the sum changes no bit of the gradient
+    (up to the sign of a zero), so it equals the sum over every term.
+    """
+
+    def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits",
+                 order: SuitabilityOrder | None = None):
+        U = np.asarray(U, dtype=float)
+        S = np.asarray(S, dtype=float)
+        if U.shape != S.shape:
+            raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}")
+        if parametrization not in PARAMETRIZATIONS:
+            raise ValueError(f"unknown parametrization {parametrization!r}")
+        self.U, self.S, self.k, self.weights, self.order = U, S, k, weights, order
+        self.logits = parametrization == "logits"
+        self._full = _full_view(*U.shape)
+        # w3 times the utility gradient -(k/m) U, which does not depend on P
+        self._utility_grad = weights.w3 * (-(k / U.shape[0]) * U)
+
+    @np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
+    def __call__(self, params: np.ndarray,
+                 view: TrainingView | None = None) -> tuple[LossBreakdown, np.ndarray]:
+        """The LossBreakdown and gradient at `params` (float, U's shape) on
+        `view` (default: the full instance)."""
+        w, k = self.weights, self.k
+        m, n = self.U.shape
+        view = self._full if view is None else view
+        P = row_softmax(params) if self.logits else params
+        mv = view.users.size
+        whole = mv == m and view.items.size == n
+        if whole:
+            sel, Uv, Sv, Pv, order = None, self.U, self.S, P, self.order
+        else:  # a sampled view sorts its sub-instance
+            sel = _view_index(view, m, n)
+            Uv, Sv, Pv, order = self.U[sel], self.S[sel], P[sel], None
+        l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv, with_grad=not whole and w.w3 != 0)
+        l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv, with_grad=w.w1 != 0)
+        l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order,
+                                          with_grad=w.w2 != 0)
+        # w1 g_e + w2 g_f + w3 g_u, left to right over the non-zero weights
+        G = None
+        for weight, g in ((w.w1, g_e), (w.w2, g_f)):
+            if weight:
+                G = weight * g if G is None else G + weight * g
+        if w.w3:
+            weighted_u = self._utility_grad if whole else w.w3 * g_u
+            # the held gradient is never handed out, so the caller may keep G
+            G = weighted_u.copy() if G is None else G + weighted_u
+        scale = view.item_scale
+        if scale != 1.0:
+            l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
+            G = G * scale
+        if sel is not None:
+            G_full = np.zeros_like(P)
+            G_full[sel] = G
+            G = G_full
+        if self.logits:
+            l_p = 0.0
+            G = softmax_grad_chain(P, G)
+        else:
+            l_p, g_p = _penalty_loss_grad(P, with_grad=w.w4 != 0)
+            if w.w4:
+                G = G + w.w4 * g_p
+        total = w.w1 * l_e + w.w2 * l_f + w.w3 * l_u + w.w4 * l_p
+        breakdown = LossBreakdown(
+            envy_loss=l_e,
+            inferiority_loss=l_f,
+            neg_utility_loss=l_u,
+            penalty_loss=l_p,
+            total=total,
+        )
+        return breakdown, G
+
+
 def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
                   view: TrainingView | None = None,
                   order: SuitabilityOrder | None = None) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted combined loss at the parameters, and its analytic gradient
-    w.r.t. them.
+    w.r.t. them: one call of a fresh `Objective`.
 
     "logits": params are unconstrained row scores, P = row_softmax(params),
     and the penalty is 0 because the softmax keeps rows stochastic.
@@ -195,48 +276,16 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
     every user and item reuses (None builds it); a sampled view builds the
     order of its sub-instance.
     """
-    U = np.asarray(U, dtype=float)
-    S = np.asarray(S, dtype=float)
+    objective = Objective(U, S, k, weights, parametrization, order)
     params = np.asarray(params, dtype=float)
-    if U.shape != S.shape or U.shape != params.shape:
-        raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}, params {params.shape}")
-    if parametrization not in PARAMETRIZATIONS:
-        raise ValueError(f"unknown parametrization {parametrization!r}")
-    if view is None:
-        view = _full_view(*U.shape)
-    P = row_softmax(params) if parametrization == "logits" else params
-    sel = _view_index(view, *U.shape)
-    Uv, Sv, Pv = U[sel], S[sel], P[sel]
-    mv = view.users.size
-    l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv)
-    l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
-    if mv != U.shape[0] or view.items.size != U.shape[1]:
-        order = None
-    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
-    scale = view.item_scale
-    l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
-    G = np.zeros_like(P)
-    G[sel] = (weights.w1 * g_e + weights.w2 * g_f + weights.w3 * g_u) * scale
-    if parametrization == "direct":
-        l_p, g_p = _penalty_loss_grad(P)
-        G = G + weights.w4 * g_p
-    else:
-        l_p = 0.0
-        G = softmax_grad_chain(P, G)
-    total = weights.w1 * l_e + weights.w2 * l_f + weights.w3 * l_u + weights.w4 * l_p
-    breakdown = LossBreakdown(
-        envy_loss=l_e,
-        inferiority_loss=l_f,
-        neg_utility_loss=l_u,
-        penalty_loss=l_p,
-        total=total,
-    )
-    return breakdown, G
+    if params.shape != objective.U.shape:
+        raise DimensionError(f"shape mismatch: U {objective.U.shape}, params {params.shape}")
+    return objective(params, view)
 
 
 def _check_finite(breakdown: LossBreakdown, step: int) -> None:
     for name, value in breakdown.as_dict().items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise TrainingDiverged(f"{name} became {value} at step {step}")
 
 
@@ -277,11 +326,12 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     start = time.perf_counter()
     # S is fixed, so the views over every user and item share one sort of it
     order = SuitabilityOrder(S) if config.scaling.kind in ("none", "minibatch") else None
+    objective = Objective(U, S, config.k, config.weights, config.parametrization, order)
     for step in range(config.max_steps):
-        view = make_training_view(scores, config.scaling, step, config.seed)
-        breakdown, G = loss_and_grad(
-            U, S, params, config.k, config.weights, config.parametrization, view, order
-        )
+        # with scaling "none" every step takes the objective's full view
+        view = None if config.scaling.kind == "none" else make_training_view(
+            scores, config.scaling, step, config.seed)
+        breakdown, G = objective(params, view)
         _check_finite(breakdown, step)
         breakdowns.append(breakdown)
         totals.append(breakdown.total)

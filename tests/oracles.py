@@ -4,8 +4,18 @@ keep it slow and obvious."""
 
 import numpy as np
 
-from feir.core import CountMatrix
-from feir.losses import hit_probability, hit_probability_grad
+from feir.core import CountMatrix, row_softmax
+from feir.losses import (
+    LossBreakdown,
+    _envy_loss_grad,
+    _inferiority_loss_grad,
+    _penalty_loss_grad,
+    _utility_loss_grad,
+    hit_probability,
+    hit_probability_grad,
+    softmax_grad_chain,
+)
+from feir.optim import _full_view, _view_index
 
 
 def utility_user(i, U, C):
@@ -178,3 +188,38 @@ def top_k_argsort(M, k):
     C = np.zeros(M.shape, dtype=np.int64)
     np.put_along_axis(C, order, 1, axis=1)
     return CountMatrix(C=C, k=k)
+
+
+def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits", view=None,
+                             order=None):
+    """`optim.loss_and_grad` as it was before zero-weight terms skipped their
+    gradient: every term's loss and gradient are computed on the view's
+    sub-instance, summed as w1 g_e + w2 g_f + w3 g_u, scaled, scattered into
+    a zero full-size gradient, and then the penalty or the softmax chain."""
+    U = np.asarray(U, dtype=float)
+    S = np.asarray(S, dtype=float)
+    params = np.asarray(params, dtype=float)
+    if view is None:
+        view = _full_view(*U.shape)
+    P = row_softmax(params) if parametrization == "logits" else params
+    sel = _view_index(view, *U.shape)
+    Uv, Sv, Pv = U[sel], S[sel], P[sel]
+    mv = view.users.size
+    l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv)
+    l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
+    if mv != U.shape[0] or view.items.size != U.shape[1]:
+        order = None
+    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
+    scale = view.item_scale
+    l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
+    G = np.zeros_like(P)
+    G[sel] = (weights.w1 * g_e + weights.w2 * g_f + weights.w3 * g_u) * scale
+    if parametrization == "direct":
+        l_p, g_p = _penalty_loss_grad(P)
+        G = G + weights.w4 * g_p
+    else:
+        l_p = 0.0
+        G = softmax_grad_chain(P, G)
+    total = weights.w1 * l_e + weights.w2 * l_f + weights.w3 * l_u + weights.w4 * l_p
+    return LossBreakdown(envy_loss=l_e, inferiority_loss=l_f, neg_utility_loss=l_u,
+                         penalty_loss=l_p, total=total), G

@@ -149,17 +149,42 @@ class TestRun:
         assert second == first
 
     def test_failures_become_rows(self, tmp_path, intro_dataset):
-        # rr with m*k > n under exclusivity cannot allocate
+        # rr with m*k > n under exclusivity cannot allocate; a shuffle pool
+        # cannot hold more than n items
         config = {
             "seed": 4,
             "dataset": {"u_path": str(intro_dataset)},
             "ks": [2],
-            "methods": {"rr": {"tau": 0.0}},
+            "methods": {"rr": {"tau": 0.0}, "shuffle": {"d": 4}},
         }
         rows = read_rows(cmd_run(config, tmp_path / "out"))
-        assert len(rows) == 1
-        assert rows[0]["status"].startswith("error:")
-        assert rows[0]["utility"] == ""
+        assert len(rows) == 2
+        for row in rows:
+            assert row["status"].startswith("error:")
+            assert row["utility"] == ""
+
+    def test_default_ks_stop_at_n(self, tmp_path, intro_dataset):
+        config = {"dataset": {"u_path": str(intro_dataset)}, "methods": {"naive": {}}}
+        rows = read_rows(cmd_run(config, tmp_path / "out"))
+        assert [r["k"] for r in rows] == ["1"]
+
+    @pytest.mark.parametrize("top_level, message", [
+        ({"sed": 9}, r"unknown top-level config keys \['sed'\]"),
+        ({"kss": [2]}, r"unknown top-level config keys \['kss'\]"),
+        ({"ks": [0]}, r"ks \[0\] outside \[1, 3\]"),
+        ({"ks": [1, 4]}, r"ks \[4\] outside \[1, 3\]"),
+    ], ids=["sed", "kss", "ks_zero", "ks_above_n"])
+    def test_bad_top_level_config_raises_before_solving(self, tmp_path, intro_dataset,
+                                                         monkeypatch, top_level, message):
+        fits = []
+        monkeypatch.setattr(feir.cli, "fit", lambda *a: fits.append(a))
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"naive": {}, "feir": {"weight_grid": [[0, 1, 1, 0]]}},
+                  **top_level}
+        with pytest.raises(ValueError, match=message):
+            cmd_run(config, tmp_path / "out")
+        assert fits == []
+        assert not (tmp_path / "out" / "solutions.csv").exists()
 
     def test_methods_required(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1], "methods": {}}
@@ -315,6 +340,7 @@ class TestRun:
         ("ca", {"epsilons": [-1]}, {"epsilons": [0.01]}),
         ("ca", {"epsilons": [0.01], "max_iters": 0}, {"epsilons": [0.01], "max_iters": 100}),
         ("rr", {"tau": 1.5}, {"tau": 0.5}),
+        ("shuffle", {"d": 0}, {"d": 2}),
     ])
     def test_invalid_settings_raise_before_solving(self, tmp_path, intro_dataset, monkeypatch,
                                                    method, bad, fixed):
@@ -350,6 +376,7 @@ class TestRun:
     def test_readme_config_keys_valid(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(block) <= set(feir.cli.TOP_LEVEL_KEYS)
         assert set(block["dataset"]) <= set(feir.cli.DATASET_GEN_KEYS)
         for method, cfg in block["methods"].items():
             assert set(cfg) <= set(feir.cli.METHODS[method][1]), method

@@ -1,6 +1,8 @@
 import csv
+from itertools import combinations
 
 import numpy as np
+import oracles
 import pytest
 
 import feir.cli
@@ -320,6 +322,84 @@ class TestViewLossAndGradient:
                                      SuitabilityOrder(pair.S))
         assert shared[0] == breakdown
         np.testing.assert_array_equal(shared[1], analytic)
+
+
+# every subset of the four weights set to 0 that leaves a valid LossWeights
+# (one of w1, w2, w3 must stay positive)
+ZEROED = [zeros for size in range(4) for zeros in combinations(range(4), size)
+          if not {0, 1, 2} <= set(zeros)]
+
+
+class TestZeroWeightTerms:
+    """A term whose weight is 0 reports its loss but skips its gradient pass,
+    and the result is the every-term assembly's, bit for bit."""
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize(
+        "scaling",
+        [
+            Scaling(),
+            Scaling(kind="minibatch", b=3),
+            Scaling(kind="user_sample", m_s=4),
+            Scaling(kind="item_sample", n_s=3),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_matches_every_term_assembly(self, scaling, parametrization):
+        pair = random_pair(23, 7, 5)
+        rng = np.random.default_rng(24)
+        k = 2
+        view = make_training_view(pair, scaling, step=3, seed=11)
+        order = SuitabilityOrder(pair.S) if scaling.kind in ("none", "minibatch") else None
+        for zeros in ZEROED:
+            base = [0.5, 2.0, 1.5, 0.7]
+            weights = LossWeights(*(0.0 if i in zeros else w for i, w in enumerate(base)))
+            # logits, or an off-simplex policy so that the penalty is active
+            params = (rng.normal(size=(7, 5)) if parametrization == "logits"
+                      else rng.uniform(0.1, 0.9, (7, 5)))
+            expected = oracles.loss_and_grad_every_term(
+                pair.U, pair.S, params, k, weights, parametrization, view, order)
+            got = optim.loss_and_grad(pair.U, pair.S, params, k, weights, parametrization,
+                                      view, order)
+            assert got[0] == expected[0], zeros
+            assert np.array_equal(got[1], expected[1]), zeros
+            # an objective reused across steps hands out a gradient of its own
+            objective = optim.Objective(pair.U, pair.S, k, weights, parametrization, order)
+            for _ in range(2):
+                breakdown, G = objective(params, view)
+                assert breakdown == expected[0], zeros
+                assert np.array_equal(G, expected[1]), zeros
+                G *= 2.0
+
+    @pytest.mark.parametrize("weights, term, loss", [
+        ((1.0, 0.0, 1.0, 0.0), "_inferiority_loss_grad", "inferiority_loss"),
+        ((0.0, 1.0, 1.0, 0.0), "_envy_loss_grad", "envy_loss"),
+    ], ids=["w2_zero", "w1_zero"])
+    def test_fit_makes_no_gradient_pass_for_a_zero_weight(self, monkeypatch, weights, term,
+                                                          loss):
+        pair = random_pair(25, 6, 8)
+        config = TrainConfig(k=2, weights=LossWeights(*weights), max_steps=25,
+                             convergence_tol=0.0)
+        passes = []
+        real = getattr(optim, term)
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            passes.append(result[1] is not None)
+            return result
+
+        monkeypatch.setattr(optim, term, counting)
+        trace = fit(pair, config)
+        assert len(passes) == 25 and not any(passes)
+        # the trace holds the term's real loss, as the every-term descent sees it
+        assert all(getattr(b, loss) > 0.0 for b in trace.steps)
+        params = pair.U.copy()
+        for breakdown in trace.steps:
+            expected, G = oracles.loss_and_grad_every_term(
+                pair.U, pair.S, params, config.k, config.weights)
+            assert breakdown == expected
+            params = params - config.learning_rate * G
+        np.testing.assert_array_equal(trace.final_policy.P, row_softmax(params))
 
 
 def sweep_rows(tmp_path, dataset, grid, k, **feir_cfg):
