@@ -65,6 +65,11 @@ def _reject_unknown(what: str, cfg: dict, valid) -> None:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # The keys of a run config; main also reads output_dir from it.
 TOP_LEVEL_KEYS = ("seed", "output_dir", "dataset", "ks", "methods")
 
@@ -258,13 +263,19 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     old rows. solutions.csv is written once, at the end, so an interrupted
     run leaves it unchanged. Failures that depend on the data become rows
     with an error status and the run continues. An unknown top-level key
-    (see TOP_LEVEL_KEYS), an unknown method name, a key its adapter does not
-    read (see METHODS), an unknown dataset key, an explicit k outside
-    [1, n], a shuffle d below 1, or a setting its dataclass rejects raises
-    ValueError before anything is solved or written. Without `ks`, the
-    DEFAULT_KS up to n are run.
+    (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
+    method name, a key its adapter does not read (see METHODS), an unknown
+    dataset key, an explicit k outside [1, n], a shuffle d below 1, or a
+    setting its dataclass rejects raises ValueError before anything is
+    solved or written. Without `ks`, the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
+    master_seed = config.get("seed", 0)
+    if not _is_int(master_seed):
+        raise ValueError(f"seed must be an integer, got {master_seed!r}")
+    ks = config.get("ks")
+    if ks is not None and not (isinstance(ks, (list, tuple)) and all(_is_int(k) for k in ks)):
+        raise ValueError(f"ks must be a list of integers, got {ks!r}")
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
@@ -274,8 +285,6 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     for method, cfg in methods.items():
         _reject_unknown(method, cfg, METHODS[method][1])
     scores = _dataset_scores(config)
-    master_seed = config.get("seed", 0)
-    ks = config.get("ks")
     if ks is None:
         ks = [k for k in DEFAULT_KS if k <= scores.n]
     else:

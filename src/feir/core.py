@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,12 +32,35 @@ class NumericError(ValueError):
 def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarray:
     """Read a headerless CSV of decimal values into a 2-D float array.
 
-    Every row must have the same number of comma-separated fields. Raises
-    MatrixFormatError (with the offending row/column) for ragged or
-    non-numeric input and DimensionError when `expected_dims` is given and
-    does not match.
+    Every row must have the same number of comma-separated fields; blank
+    lines are skipped. Each field is read as Python's `float()` reads it.
+    numpy's C reader parses the file first; a file it rejects (say one
+    holding `1_0`, non-ASCII digits or a whitespace-only line) or finds
+    empty is read again by `_parse_per_token`, one `float()` call per
+    token, which decides what is accepted. So both paths give the same
+    values, and a bad file the same error. Raises MatrixFormatError (with
+    the offending row/column) for empty, ragged or non-numeric input and
+    DimensionError when `expected_dims` is given and does not match.
     """
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported by the per-token reader instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            M = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=float,
+                           encoding="utf-8")
+    except (ValueError, OSError):
+        M = None
+    if M is None or M.size == 0:
+        M = _parse_per_token(path)
+    if expected_dims is not None and M.shape != tuple(expected_dims):
+        raise DimensionError(
+            f"{path}: expected {expected_dims[0]}x{expected_dims[1]}, got {M.shape[0]}x{M.shape[1]}"
+        )
+    return M
+
+
+def _parse_per_token(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for r, line in enumerate(fh):
@@ -59,27 +83,34 @@ def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarra
             rows.append(parsed)
     if not rows:
         raise MatrixFormatError(f"{path}: empty matrix file")
-    M = np.array(rows, dtype=float)
-    if expected_dims is not None and M.shape != tuple(expected_dims):
-        raise DimensionError(
-            f"{path}: expected {expected_dims[0]}x{expected_dims[1]}, got {M.shape[0]}x{M.shape[1]}"
-        )
-    return M
+    return np.array(rows, dtype=float)
 
 
 def save_matrix(matrix, path) -> None:
     """Write a matrix as headerless CSV with full float round-trip precision.
 
     Every value is printed as `%.17g`, one matrix row per line, so floats
-    read back bit-exact and integer counts print as plain digits.
+    read back bit-exact and integer counts print as plain digits. An integer
+    matrix whose entries all lie in 0-9, such as every 0/1 count matrix that
+    `top_k`, `baselines.shuffle` and `baselines.round_robin` make, is
+    formatted as one byte buffer of digits, commas and newlines instead:
+    the same bytes, without a format call per row.
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("save_matrix requires a non-empty 2-D matrix")
-    template = ",".join(["%.17g"] * M.shape[1]) + "\n"
-    path = Path(path)
+    if np.issubdtype(M.dtype, np.integer) and M.min() >= 0 and M.max() <= 9:
+        # each row is "d,d,...,d\n": digits at even offsets, separators at odd
+        text = np.full((M.shape[0], 2 * M.shape[1]), ord(","), dtype=np.uint8)
+        text[:, 0::2] = M
+        text[:, 0::2] += ord("0")
+        text[:, -1] = ord("\n")
+        lines = [text.tobytes().decode("ascii")]
+    else:
+        template = ",".join(["%.17g"] * M.shape[1]) + "\n"
+        lines = (template % tuple(row.tolist()) for row in M)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(template % tuple(row.tolist()) for row in M)
+        fh.writelines(lines)
 
 
 def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None) -> Path:

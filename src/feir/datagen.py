@@ -81,19 +81,34 @@ class GenSpec:
         return base + ")"
 
 
+# Elements per truncnorm.ppf call. One call holds about 30 temporaries the
+# size of its input, so a block of 2^14 peaks near 4 MB whatever the shape.
+_BLOCK = 1 << 14
+
+
 def _truncated_normal(shape, seed_key, loc, scale) -> np.ndarray:
     """Inverse-CDF samples of Normal(loc, scale^2) truncated to (0, 1).
 
     `loc` may be an array broadcasting against `shape` (boosted rows/columns).
+    The uniforms are drawn at once into the output array, which the inverse
+    CDF then overwrites in C-order blocks of `_BLOCK` elements, so memory
+    stays a small multiple of the output however wide a row is. The
+    transform is elementwise, so the values are those of one whole-matrix
+    call.
     """
     rng = np.random.default_rng(seed_key)
-    u = rng.random(shape)
-    u = np.clip(u, _EDGE, 1.0 - _EDGE)
-    loc = np.broadcast_to(np.asarray(loc, dtype=float), shape)
-    alpha = (0.0 - loc) / scale
-    beta = (1.0 - loc) / scale
-    x = truncnorm.ppf(u, alpha, beta, loc=loc, scale=scale)
-    return np.clip(x, _EDGE, 1.0 - _EDGE)
+    out = rng.random(shape)
+    np.clip(out, _EDGE, 1.0 - _EDGE, out=out)
+    flat = out.reshape(-1)
+    locs = np.broadcast_to(np.asarray(loc, dtype=float), shape).flat
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        loc_block = locs[block]
+        alpha = (0.0 - loc_block) / scale
+        beta = (1.0 - loc_block) / scale
+        x = truncnorm.ppf(flat[block], alpha, beta, loc=loc_block, scale=scale)
+        np.clip(x, _EDGE, 1.0 - _EDGE, out=flat[block])
+    return out
 
 
 def boosted_rows(spec: GenSpec) -> np.ndarray:

@@ -2,9 +2,12 @@
 vectorized code. Everything here is plain Python loops over the definitions;
 keep it slow and obvious."""
 
-import numpy as np
+from pathlib import Path
 
-from feir.core import CountMatrix, row_softmax
+import numpy as np
+from scipy.stats import truncnorm
+
+from feir.core import CountMatrix, DimensionError, MatrixFormatError, row_softmax
 from feir.losses import (
     LossBreakdown,
     _envy_loss_grad,
@@ -177,6 +180,56 @@ def save_matrix_per_element(matrix, path):
         for row in np.asarray(matrix):
             fh.write(",".join(format(v, ".17g") for v in row))
             fh.write("\n")
+
+
+def load_matrix_per_token(path, expected_dims=None):
+    """Reference CSV matrix reader: one `float()` call per token, blank lines
+    skipped. `core.load_matrix` must return the same values, or raise the
+    same exception type with the same message."""
+    path = Path(path)
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for r, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            parsed = []
+            for c, token in enumerate(fields):
+                try:
+                    parsed.append(float(token))
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"{path}: non-numeric token {token!r} at row {r}, column {c}"
+                    ) from None
+            if rows and len(parsed) != len(rows[0]):
+                raise MatrixFormatError(
+                    f"{path}: ragged row {r} has {len(parsed)} fields, expected {len(rows[0])}"
+                )
+            rows.append(parsed)
+    if not rows:
+        raise MatrixFormatError(f"{path}: empty matrix file")
+    M = np.array(rows, dtype=float)
+    if expected_dims is not None and M.shape != tuple(expected_dims):
+        raise DimensionError(
+            f"{path}: expected {expected_dims[0]}x{expected_dims[1]}, got {M.shape[0]}x{M.shape[1]}"
+        )
+    return M
+
+
+def truncated_normal_whole(shape, seed_key, loc, scale):
+    """Reference sampler: inverse-CDF truncated-normal draws computed on the
+    whole matrix at once. `datagen._truncated_normal` must return the same
+    bits."""
+    edge = 1e-12
+    rng = np.random.default_rng(seed_key)
+    u = rng.random(shape)
+    u = np.clip(u, edge, 1.0 - edge)
+    loc = np.broadcast_to(np.asarray(loc, dtype=float), shape)
+    alpha = (0.0 - loc) / scale
+    beta = (1.0 - loc) / scale
+    x = truncnorm.ppf(u, alpha, beta, loc=loc, scale=scale)
+    return np.clip(x, edge, 1.0 - edge)
 
 
 def top_k_argsort(M, k):

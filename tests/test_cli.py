@@ -173,7 +173,13 @@ class TestRun:
         ({"kss": [2]}, r"unknown top-level config keys \['kss'\]"),
         ({"ks": [0]}, r"ks \[0\] outside \[1, 3\]"),
         ({"ks": [1, 4]}, r"ks \[4\] outside \[1, 3\]"),
-    ], ids=["sed", "kss", "ks_zero", "ks_above_n"])
+        ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+        ({"seed": "7"}, r"seed must be an integer, got '7'"),
+        ({"seed": True}, r"seed must be an integer, got True"),
+        ({"ks": [True]}, r"ks must be a list of integers, got \[True\]"),
+        ({"ks": [2.0]}, r"ks must be a list of integers, got \[2\.0\]"),
+    ], ids=["sed", "kss", "ks_zero", "ks_above_n", "seed_float", "seed_str", "seed_bool",
+            "ks_bool", "ks_float"])
     def test_bad_top_level_config_raises_before_solving(self, tmp_path, intro_dataset,
                                                          monkeypatch, top_level, message):
         fits = []

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -30,6 +32,11 @@ WRITER_CASES = {
         [np.nan, np.inf, -np.inf, 1.7976931348623157e308, 1.0 / 3.0],
     ]),
     "int64_counts": np.random.default_rng(3).multinomial(10, [1 / 6] * 6, size=4).astype(np.int64),
+    "binary_int64_counts": (np.random.default_rng(5).random((6, 11)) < 0.3).astype(np.int64),
+    "binary_int32_counts": (np.random.default_rng(6).random((4, 7)) < 0.5).astype(np.int32),
+    "binary_uint8_counts": (np.random.default_rng(7).random((5, 3)) < 0.5).astype(np.uint8),
+    "digits": np.arange(30, dtype=np.int64).reshape(3, 10) % 10,
+    "holds_a_ten": np.array([[0, 9, 3], [10, 1, 0]], dtype=np.int64),
     "one_by_one": np.array([[0.7]]),
     "one_by_n": np.random.default_rng(4).uniform(0.001, 0.999, size=(1, 9)),
 }
@@ -119,6 +126,84 @@ class TestMatrixIO:
         path.write_text("0.5,1.5\n0.2,0.3\n")
         with pytest.raises(ValueError, match="outside the open interval"):
             load_scores(path)
+
+
+def _random_17g(seed, m, n):
+    M = np.random.default_rng(seed).uniform(-1e3, 1e3, (m, n)) ** 3
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in M)
+
+
+# Files load_matrix must read as the per-token oracle does: the same values
+# or the same exception type and message.
+LOADER_CASES = {
+    "random_17g": _random_17g(0, 9, 13).encode(),
+    "random_17g_wide": _random_17g(1, 3, 200).encode(),
+    "blank_lines": b"\n0.1,0.2\n\n\n0.3,0.4\n\n",
+    "whitespace_lines": b"  \t\n0.1,0.2\n   \n0.3,0.4\n\x0b\n",
+    "padded_fields": b" 0.1 ,\t0.2\n0.3,0.4  \n",
+    "crlf": b"0.1,0.2\r\n0.3,0.4\r\n",
+    "cr_only": b"0.1,0.2\r0.3,0.4\r",
+    "no_trailing_newline": b"0.1,0.2\n0.3,0.4",
+    "plus_sign": b"+0.1,0.2\n0.3,+4e-1\n",
+    "underscore": b"1_0,2\n3,4_5.5\n",
+    "arabic_indic_digits": "\u0661.\u0665,2\n3,\u0664\n".encode(),
+    "non_finite": b"nan,inf,Infinity,-INF\n-nan,+inf,NaN,infinity\n",
+    "one_row": b"0.1,0.2,0.3\n",
+    "one_column": b"0.1\n0.2\n0.3\n",
+    "hash": b"# comment\n0.1,0.2\n",
+    "hash_in_field": b"0.1,0.2#\n",
+    "quotes": b'"0.1",0.2\n',
+    "bom": "\ufeff0.1,0.2\n".encode(),
+    "trailing_comma": b"0.1,0.2,\n0.3,0.4,\n",
+    "ragged": b"0.1,0.2\n0.3\n",
+    "ragged_after_blank": b"0.1,0.2\n\n0.3,0.4,0.5\n",
+    "hex": b"0x1p3,1\n",
+    "line_separator": "0.1\u2028,0.2\n".encode(),
+    "empty": b"",
+    "blank_only": b"\n\n",
+    "whitespace_only": b"  \n\t\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestLoadMatrixMatchesPerTokenReader:
+    @pytest.mark.parametrize("name", list(LOADER_CASES))
+    def test_same_values_or_same_error(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(LOADER_CASES[name])
+        # a warning numpy's reader leaks, such as "input contained no data"
+        # for an empty file, fails the comparison
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(load_matrix, path)
+        expected = _outcome(oracles.load_matrix_per_token, path)
+        if isinstance(expected, tuple):
+            assert isinstance(got, tuple) and got == expected
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == float
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_missing_file_error_unchanged(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        assert _outcome(load_matrix, path) == _outcome(oracles.load_matrix_per_token, path)
+
+    def test_peak_memory_near_array_size(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix(np.random.default_rng(0).uniform(0.001, 0.999, (1000, 500)), path)
+        tracemalloc.start()
+        try:
+            M = load_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * M.nbytes
 
 
 class TestScorePair:

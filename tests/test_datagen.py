@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
+import oracles
 import pytest
 from scipy.stats import truncnorm
 
+import feir.datagen
 from feir.core import top_k
 from feir.datagen import (
+    FAMILIES,
     GenSpec,
     boosted_cols,
     boosted_rows,
@@ -137,3 +142,44 @@ def test_generate_dispatch():
 def test_family_mismatch_rejected():
     with pytest.raises(ValueError):
         gen_random(GenSpec(family="su_pair"))
+
+
+def _whole_matrix_generate(spec, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(feir.datagen, "_truncated_normal", oracles.truncated_normal_whole)
+        return generate(spec)
+
+
+def _assert_same_bits(a, b):
+    for x, y in ((a.U, b.U), (a.S, b.S)):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("shape", [(2, 2), (37, 513), (1000, 17), "wide"])
+    def test_matches_whole_matrix_reference(self, monkeypatch, family, seed, shape):
+        m, n = (2, 2 * feir.datagen._BLOCK + 5) if shape == "wide" else shape
+        spec = GenSpec(family=family, m=m, n=n, seed=seed)
+        _assert_same_bits(generate(spec), _whole_matrix_generate(spec, monkeypatch))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_blocks_crossing_rows_match_reference(self, monkeypatch, family):
+        # 97 divides neither the row length nor the matrix size
+        spec = GenSpec(family=family, m=37, n=51, seed=3)
+        expected = _whole_matrix_generate(spec, monkeypatch)
+        monkeypatch.setattr(feir.datagen, "_BLOCK", 97)
+        _assert_same_bits(generate(spec), expected)
+
+    @pytest.mark.parametrize("family, m, n", [("su_pair", 500, 1000), ("user_groups", 1000, 300)])
+    def test_peak_memory_is_a_small_multiple_of_the_output(self, family, m, n):
+        tracemalloc.start()
+        try:
+            pair = generate(GenSpec(family=family, m=m, n=n, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = pair.U.nbytes if pair.shared else pair.U.nbytes + pair.S.nbytes
+        assert peak <= 5 * output
