@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from feir.baselines import naive
-from feir.datagen import GenSpec, gen_random
+from feir.datagen import GenSpec, generate
 from feir.metrics import competition_metrics, gini_index, system_metrics
 
 
@@ -29,7 +29,7 @@ def main() -> int:
           f"{'mean_rank':>10} {'mean_gap':>9} {'gini':>6}")
     for ratio in args.ratios:
         m = max(2, int(round(ratio * args.items)))
-        pair = gen_random(GenSpec(family="random", m=m, n=args.items, seed=args.seed))
+        pair = generate(GenSpec(family="random", m=m, n=args.items, seed=args.seed))
         counts = naive(pair, args.k)
         sys_m = system_metrics(pair.U, pair.S, counts)
         comp = competition_metrics(pair.S, counts, args.k)

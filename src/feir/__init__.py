@@ -36,7 +36,6 @@ from .losses import (
     expected_user_utility,
     finite_diff_grad,
     mc_estimate,
-    penalty_loss,
 )
 from .metrics import (
     CompetitionMetrics,

@@ -70,13 +70,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _settings_keys(cls, *run_owned) -> tuple:
+    """The config keys of a settings dataclass: its fields, in order, less
+    those the run sets itself."""
+    return tuple(f.name for f in fields(cls) if f.name not in run_owned)
+
+
 # The keys of a run config; main also reads output_dir from it.
 TOP_LEVEL_KEYS = ("seed", "output_dir", "dataset", "ks", "methods")
 
 # The two dataset forms: score files, or a synthetic generator's GenSpec
 # (whose loc and scale stay at their defaults).
 DATASET_FILE_KEYS = ("u_path", "s_path")
-DATASET_GEN_KEYS = ("family", "m", "n", "seed", "group_fraction", "group_boost")
+DATASET_GEN_KEYS = _settings_keys(datagen.GenSpec, "loc", "scale")
+
+# The keys of a report config and of each of its axes.
+REPORT_KEYS = ("axes",)
+AXIS_KEYS = ("x", "y", "ref", "threshold")
 
 
 def _dataset_scores(config: dict) -> ScorePair:
@@ -177,7 +187,7 @@ def _naive_runs(scores, cfg, k, naive_counts):
 def _feir_runs(scores, cfg, k, naive_counts):
     settings = {key: value for key, value in cfg.items() if key != "weight_grid"}
     if "scaling" in settings:
-        _reject_unknown("feir scaling", settings["scaling"], [f.name for f in fields(Scaling)])
+        _reject_unknown("feir scaling", settings["scaling"], _settings_keys(Scaling))
         settings["scaling"] = Scaling(**settings["scaling"])
     grid_cfg = cfg.get("weight_grid")
     # weights are cast to float so that 1 and 1.0 derive the same seed and row key
@@ -227,16 +237,17 @@ def _rr_runs(scores, cfg, k, naive_counts):
 # Method name -> (adapter, the config keys it reads), in run order. An
 # adapter(scores, method_cfg, k, naive_counts) yields one (params, solve) pair
 # per run, where solve(seed) returns (counts, policy or None). Any other key
-# in a method's config is an error. An adapter builds its settings objects
-# before its first yield, so a setting that is invalid whatever the data
-# raises there; only solve's failures become error rows.
+# in a method's config is an error. A method's keys are its grid key and the
+# fields of its settings dataclass, less those the run sets per solve. An
+# adapter builds its settings objects before its first yield, so a setting
+# that is invalid whatever the data raises there; only solve's failures
+# become error rows.
 METHODS = {
     "naive": (_naive_runs, ()),
-    "feir": (_feir_runs, ("weight_grid", "learning_rate", "max_steps", "convergence_tol",
-                          "parametrization", "scaling")),
+    "feir": (_feir_runs, ("weight_grid", *_settings_keys(TrainConfig, "k", "weights", "seed"))),
     "shuffle": (_shuffle_runs, ("d",)),
-    "ca": (_ca_runs, ("epsilons", "max_iters", "marginal_tol")),
-    "rr": (_rr_runs, ("tau", "exclusive")),
+    "ca": (_ca_runs, ("epsilons", *_settings_keys(baselines.CAConfig, "epsilon"))),
+    "rr": (_rr_runs, _settings_keys(baselines.RRConfig, "seed")),
 }
 
 
@@ -326,7 +337,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 )
                 _save_artifacts(save_dir, point, counts, policy)
             except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
-                point = pareto.failed_solution(method, params, k, seed, f"error: {exc}")
+                point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")
             new_rows.append(_solution_row(point))
 
     _write_solutions_csv(solutions_path, existing + new_rows)
@@ -338,8 +349,19 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
 
     For each k and configured axis pair the report holds every method's
     Pareto front, its hypervolume against the configured reference point, and
-    the minimum unfairness among solutions above the utility threshold.
+    the minimum unfairness among solutions above the utility threshold. An
+    unknown report or axis key, or an axis metric that solutions.csv does not
+    hold (see METRIC_COLUMNS), raises ValueError before anything is written.
     """
+    report_config = report_config or {}
+    _reject_unknown("report", report_config, REPORT_KEYS)
+    axes = report_config.get("axes", DEFAULT_REPORT_AXES)
+    for axis in axes:
+        _reject_unknown("report axis", axis, AXIS_KEYS)
+        for key in ("x", "y"):
+            if axis.get(key) not in METRIC_COLUMNS:
+                raise ValueError(f"report axis {key} must be one of {METRIC_COLUMNS}, "
+                                 f"got {axis.get(key)!r}")
     if not Path(solutions_path).exists():
         raise FileNotFoundError(solutions_path)
     rows = _read_solutions_csv(Path(solutions_path))
@@ -348,7 +370,6 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
         missing = required - set(rows[0])
         if missing:
             raise ValueError(f"solutions file lacks columns: {sorted(missing)}")
-    axes = (report_config or {}).get("axes", DEFAULT_REPORT_AXES)
     points = [_solution_point(r) for r in rows]
     ks = sorted({p.k for p in points})
     methods = sorted({p.method for p in points})

@@ -133,7 +133,8 @@ def _frozen_copy(arr, dtype=float) -> np.ndarray:
 class ScorePair:
     """Utility matrix U (item value to each user) and suitability matrix S
     (user competitiveness for each item), both m x n with entries strictly
-    inside (0, 1). `shared` marks the common case S is U.
+    inside (0, 1). `shared` marks the common case S is U; when the same
+    array is passed for both, the pair holds one frozen copy of it.
     """
 
     U: np.ndarray
@@ -142,7 +143,7 @@ class ScorePair:
 
     def __post_init__(self):
         U = _frozen_copy(self.U)
-        S = _frozen_copy(self.S)
+        S = U if self.S is self.U else _frozen_copy(self.S)
         if U.ndim != 2:
             raise DimensionError("U must be 2-D")
         if U.shape != S.shape:

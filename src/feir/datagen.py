@@ -21,23 +21,17 @@ from scipy.stats import truncnorm
 
 from .core import ScorePair
 
-FAMILIES = ("random", "su_pair", "item_groups", "user_groups")
+# family -> (default (m, n), None where both must be given; default scale;
+# the seed stream of U, then of S when S is drawn on its own)
+FAMILIES = {
+    "random": (None, 0.25, (0,)),
+    "su_pair": ((50, 50), 0.25, (1, 2)),
+    "item_groups": ((20, 100), 0.1, (3,)),
+    "user_groups": ((20, 100), 0.1, (4,)),
+}
 
 BASE_LOC = 0.5
 _EDGE = 1e-12  # keep inverse-CDF output strictly inside (0, 1)
-
-_DEFAULT_DIMS = {
-    "su_pair": (50, 50),
-    "item_groups": (20, 100),
-    "user_groups": (20, 100),
-}
-
-_DEFAULT_SCALE = {
-    "random": 0.25,
-    "su_pair": 0.25,
-    "item_groups": 0.1,
-    "user_groups": 0.1,
-}
 
 
 @dataclass(frozen=True)
@@ -54,17 +48,17 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        m, n = self.m, self.n
-        if m is None or n is None:
-            default = _DEFAULT_DIMS.get(self.family)
-            if default is None:
+        # JSON true loads as bool, a subclass of int; numpy integers are accepted
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        dims, scale, _ = FAMILIES[self.family]
+        if self.m is None or self.n is None:
+            if dims is None:
                 raise ValueError(f"family {self.family!r} needs explicit m and n")
-            m = m if m is not None else default[0]
-            n = n if n is not None else default[1]
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "m", dims[0] if self.m is None else self.m)
+            object.__setattr__(self, "n", dims[1] if self.n is None else self.n)
         if self.scale is None:
-            object.__setattr__(self, "scale", _DEFAULT_SCALE[self.family])
+            object.__setattr__(self, "scale", scale)
         if self.m < 2 or self.n < 2:
             raise ValueError("need m >= 2 and n >= 2")
         if not (0.0 < self.group_fraction < 1.0):
@@ -121,49 +115,25 @@ def boosted_cols(spec: GenSpec) -> np.ndarray:
     return np.arange(int(round(spec.group_fraction * spec.n)))
 
 
-def gen_random(spec: GenSpec) -> ScorePair:
-    """One truncated-normal matrix serving as both utility and suitability."""
-    if spec.family != "random":
-        raise ValueError("spec.family must be 'random'")
-    M = _truncated_normal((spec.m, spec.n), [spec.seed, 0], spec.loc, spec.scale)
-    return ScorePair.single(M)
-
-
-def gen_su_pair(spec: GenSpec) -> ScorePair:
-    """Independent suitability and utility matrices of the same shape."""
-    if spec.family != "su_pair":
-        raise ValueError("spec.family must be 'su_pair'")
-    U = _truncated_normal((spec.m, spec.n), [spec.seed, 1], spec.loc, spec.scale)
-    S = _truncated_normal((spec.m, spec.n), [spec.seed, 2], spec.loc, spec.scale)
-    return ScorePair(U=U, S=S, shared=False)
-
-
-def gen_item_groups(spec: GenSpec) -> ScorePair:
-    """Some items score higher for everyone: boosted columns get +group_boost
-    on the pre-truncation mean, so all users chase the same items."""
-    if spec.family != "item_groups":
-        raise ValueError("spec.family must be 'item_groups'")
-    loc = np.full((1, spec.n), spec.loc)
-    loc[0, boosted_cols(spec)] += spec.group_boost
-    M = _truncated_normal((spec.m, spec.n), [spec.seed, 3], loc, spec.scale)
-    return ScorePair.single(M)
-
-
-def gen_user_groups(spec: GenSpec) -> ScorePair:
-    """Some users score higher everywhere: boosted rows get +group_boost on
-    the pre-truncation mean, putting the rest at a blanket disadvantage."""
-    if spec.family != "user_groups":
-        raise ValueError("spec.family must be 'user_groups'")
-    loc = np.full((spec.m, 1), spec.loc)
-    loc[boosted_rows(spec), 0] += spec.group_boost
-    M = _truncated_normal((spec.m, spec.n), [spec.seed, 4], loc, spec.scale)
-    return ScorePair.single(M)
-
-
 def generate(spec: GenSpec) -> ScorePair:
-    return {
-        "random": gen_random,
-        "su_pair": gen_su_pair,
-        "item_groups": gen_item_groups,
-        "user_groups": gen_user_groups,
-    }[spec.family](spec)
+    """The family's scores, a pure function of the spec.
+
+    random: one matrix serving as both utility and suitability. su_pair:
+    independent utility and suitability matrices. item_groups: the boosted
+    columns get +group_boost on the pre-truncation mean, so all users chase
+    the same items. user_groups: the boosted rows get it, putting the rest at
+    a blanket disadvantage. The groups share U and S.
+    """
+    loc = spec.loc
+    if spec.family == "item_groups":
+        loc = np.full((1, spec.n), spec.loc)
+        loc[0, boosted_cols(spec)] += spec.group_boost
+    elif spec.family == "user_groups":
+        loc = np.full((spec.m, 1), spec.loc)
+        loc[boosted_rows(spec), 0] += spec.group_boost
+    matrices = [_truncated_normal((spec.m, spec.n), [spec.seed, stream], loc, spec.scale)
+                for stream in FAMILIES[spec.family][2]]
+    if len(matrices) == 1:
+        return ScorePair.single(matrices[0])
+    U, S = matrices
+    return ScorePair(U=U, S=S, shared=False)

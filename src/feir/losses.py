@@ -252,6 +252,7 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
 
 
 def _penalty_loss_grad(P, with_grad=True):
+    # the squared deviation of each row sum from 1, summed over rows
     residual = P.sum(axis=1) - 1.0
     loss = float(np.sum(residual**2))
     if not with_grad:
@@ -263,12 +264,6 @@ def _penalty_loss_grad(P, with_grad=True):
 def softmax_grad_chain(P, G) -> np.ndarray:
     """Pull a gradient w.r.t. probabilities back through a row softmax."""
     return P * (G - np.einsum("ij,ij->i", G, P)[:, None])
-
-
-def penalty_loss(P_raw) -> float:
-    """Squared deviation of each row sum from 1, summed over rows."""
-    loss, _ = _penalty_loss_grad(np.asarray(P_raw, dtype=float), with_grad=False)
-    return loss
 
 
 def finite_diff_grad(loss_fn, params, h: float = 1e-5) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,14 @@ from .losses import (
 
 CONVERGENCE_WINDOW = 10
 
-SCALING_KINDS = ("none", "minibatch", "user_sample", "item_sample", "user_item_sample")
+# Each scaling kind and the sizes it requires.
+SCALING_KINDS = {
+    "none": (),
+    "minibatch": ("b",),
+    "user_sample": ("m_s",),
+    "item_sample": ("n_s",),
+    "user_item_sample": ("m_s", "n_s"),
+}
 
 PARAMETRIZATIONS = ("logits", "direct")
 
@@ -58,14 +66,7 @@ class Scaling:
     def __post_init__(self):
         if self.kind not in SCALING_KINDS:
             raise ValueError(f"unknown scaling kind {self.kind!r}")
-        needs = {
-            "none": (),
-            "minibatch": ("b",),
-            "user_sample": ("m_s",),
-            "item_sample": ("n_s",),
-            "user_item_sample": ("m_s", "n_s"),
-        }[self.kind]
-        for name in needs:
+        for name in SCALING_KINDS[self.kind]:
             value = getattr(self, name)
             if value is None or value < 1:
                 raise ValueError(f"scaling {self.kind!r} requires {name} >= 1")
@@ -89,13 +90,12 @@ class TrainingView:
     users: np.ndarray
     items: np.ndarray
     f_rows: np.ndarray
-    scope: str
     item_scale: float = 1.0
 
 
 def _full_view(m: int, n: int) -> TrainingView:
     everyone = np.arange(m)
-    return TrainingView(everyone, np.arange(n), everyone, "global")
+    return TrainingView(everyone, np.arange(n), everyone)
 
 
 def _view_index(view: TrainingView, m: int, n: int) -> tuple:
@@ -128,17 +128,17 @@ def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int
         epoch, idx = divmod(step, n_batches)
         perm = np.random.default_rng([seed, 1, epoch]).permutation(m)
         batch = np.sort(perm[idx * scaling.b : (idx + 1) * scaling.b])
-        return TrainingView(all_users, all_items, batch, "inferiority_batch")
+        return TrainingView(all_users, all_items, batch)
     rng = np.random.default_rng([seed, 2, step])
     if scaling.kind == "user_sample":
         users = np.sort(rng.choice(m, size=scaling.m_s, replace=False))
-        return TrainingView(users, all_items, np.arange(scaling.m_s), "subset")
+        return TrainingView(users, all_items, np.arange(scaling.m_s))
     if scaling.kind == "item_sample":
         items = np.sort(rng.choice(n, size=scaling.n_s, replace=False))
-        return TrainingView(all_users, items, all_users, "subset", item_scale=n / scaling.n_s)
+        return TrainingView(all_users, items, all_users, item_scale=n / scaling.n_s)
     users = np.sort(rng.choice(m, size=scaling.m_s, replace=False))
     items = np.sort(rng.choice(n, size=scaling.n_s, replace=False))
-    return TrainingView(users, items, np.arange(scaling.m_s), "subset", item_scale=n / scaling.n_s)
+    return TrainingView(users, items, np.arange(scaling.m_s), item_scale=n / scaling.n_s)
 
 
 @dataclass(frozen=True)
@@ -167,17 +167,11 @@ class TrainConfig:
 class TrainTrace:
     steps: list[LossBreakdown]
     final_policy: Policy
-    step_count: int
     wall_time: float
 
-    def losses_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,envy_loss,inferiority_loss,neg_utility_loss,penalty_loss,total\n")
-            for t, b in enumerate(self.steps):
-                fh.write(
-                    f"{t},{b.envy_loss:.17g},{b.inferiority_loss:.17g},"
-                    f"{b.neg_utility_loss:.17g},{b.penalty_loss:.17g},{b.total:.17g}\n"
-                )
+    @property
+    def step_count(self) -> int:
+        return len(self.steps)
 
 
 class Objective:
@@ -186,25 +180,29 @@ class Objective:
 
     It checks U, S and the parametrization once and holds what no step
     changes: the full view, the weighted utility gradient of a view over
-    every user and item, and S's order (None lets each step build its own).
+    every user and item, and S's order, sorted on the first step whose view
+    covers every user and item (a sampled view sorts its sub-instance).
     A term whose weight is 0 still reports its loss but skips its gradient
     pass. Leaving a 0 * g term out of the sum changes no bit of the gradient
     (up to the sign of a zero), so it equals the sum over every term.
     """
 
-    def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits",
-                 order: SuitabilityOrder | None = None):
+    def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits"):
         U = np.asarray(U, dtype=float)
         S = np.asarray(S, dtype=float)
         if U.shape != S.shape:
             raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}")
         if parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {parametrization!r}")
-        self.U, self.S, self.k, self.weights, self.order = U, S, k, weights, order
+        self.U, self.S, self.k, self.weights = U, S, k, weights
         self.logits = parametrization == "logits"
         self._full = _full_view(*U.shape)
         # w3 times the utility gradient -(k/m) U, which does not depend on P
         self._utility_grad = weights.w3 * (-(k / U.shape[0]) * U)
+
+    @cached_property
+    def order(self) -> SuitabilityOrder:
+        return SuitabilityOrder(self.S)
 
     @np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
     def __call__(self, params: np.ndarray,
@@ -262,8 +260,7 @@ class Objective:
 
 
 def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
-                  view: TrainingView | None = None,
-                  order: SuitabilityOrder | None = None) -> tuple[LossBreakdown, np.ndarray]:
+                  view: TrainingView | None = None) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted combined loss at the parameters, and its analytic gradient
     w.r.t. them: one call of a fresh `Objective`.
 
@@ -272,11 +269,9 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
     "direct": params is the probability matrix itself and the simplex penalty
     is active. The envy hinge uses subgradient 0 at the kink. The terms are
     evaluated on `view` (default: the full instance) and scattered back into
-    a full-size gradient. `order` is S's SuitabilityOrder, which a view over
-    every user and item reuses (None builds it); a sampled view builds the
-    order of its sub-instance.
+    a full-size gradient.
     """
-    objective = Objective(U, S, k, weights, parametrization, order)
+    objective = Objective(U, S, k, weights, parametrization)
     params = np.asarray(params, dtype=float)
     if params.shape != objective.U.shape:
         raise DimensionError(f"shape mismatch: U {objective.U.shape}, params {params.shape}")
@@ -289,11 +284,11 @@ def _check_finite(breakdown: LossBreakdown, step: int) -> None:
             raise TrainingDiverged(f"{name} became {value} at step {step}")
 
 
-def _converged(totals: list[float], tol: float) -> bool:
-    if len(totals) < CONVERGENCE_WINDOW + 1:
+def _converged(steps: list[LossBreakdown], tol: float) -> bool:
+    if len(steps) < CONVERGENCE_WINDOW + 1:
         return False
-    prev = totals[-1 - CONVERGENCE_WINDOW]
-    return abs(totals[-1] - prev) / max(abs(prev), 1e-12) < tol
+    prev = steps[-1 - CONVERGENCE_WINDOW].total
+    return abs(steps[-1].total - prev) / max(abs(prev), 1e-12) < tol
 
 
 def _project_rows(P: np.ndarray) -> np.ndarray:
@@ -322,11 +317,8 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     params = U.copy() if logits_mode else row_softmax(U)
 
     breakdowns: list[LossBreakdown] = []
-    totals: list[float] = []
     start = time.perf_counter()
-    # S is fixed, so the views over every user and item share one sort of it
-    order = SuitabilityOrder(S) if config.scaling.kind in ("none", "minibatch") else None
-    objective = Objective(U, S, config.k, config.weights, config.parametrization, order)
+    objective = Objective(U, S, config.k, config.weights, config.parametrization)
     for step in range(config.max_steps):
         # with scaling "none" every step takes the objective's full view
         view = None if config.scaling.kind == "none" else make_training_view(
@@ -334,20 +326,13 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
         breakdown, G = objective(params, view)
         _check_finite(breakdown, step)
         breakdowns.append(breakdown)
-        totals.append(breakdown.total)
         params = params - config.learning_rate * G
-        if _converged(totals, config.convergence_tol):
+        if _converged(breakdowns, config.convergence_tol):
             break
     wall = time.perf_counter() - start
 
     P_final = row_softmax(params) if logits_mode else _project_rows(params)
-    policy = Policy(P=P_final, k=config.k)
-    return TrainTrace(
-        steps=breakdowns,
-        final_policy=policy,
-        step_count=len(breakdowns),
-        wall_time=wall,
-    )
+    return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final, k=config.k), wall_time=wall)
 
 
 def default_weight_grid() -> list[LossWeights]:

@@ -108,10 +108,6 @@ def make_solution(
     )
 
 
-def failed_solution(method: str, params: dict, k: int, seed: int, status: str) -> SolutionPoint:
-    return SolutionPoint(method=method, params=params, k=k, seed=seed, status=status)
-
-
 @dataclass(frozen=True)
 class Front2D:
     """Non-dominated subset under (minimize x, maximize y), sorted by x."""

@@ -243,8 +243,7 @@ def top_k_argsort(M, k):
     return CountMatrix(C=C, k=k)
 
 
-def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits", view=None,
-                             order=None):
+def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits", view=None):
     """`optim.loss_and_grad` as it was before zero-weight terms skipped their
     gradient: every term's loss and gradient are computed on the view's
     sub-instance, summed as w1 g_e + w2 g_f + w3 g_u, scaled, scattered into
@@ -260,9 +259,7 @@ def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits",
     mv = view.users.size
     l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv)
     l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
-    if mv != U.shape[0] or view.items.size != U.shape[1]:
-        order = None
-    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
+    l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv)
     scale = view.item_scale
     l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
     G = np.zeros_like(P)

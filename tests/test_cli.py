@@ -78,6 +78,14 @@ class TestGenerate:
         second = cmd_generate(config, tmp_path / "b")[0].read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize("seed", ["7", True, 1.5])
+    def test_dataset_seed_must_be_an_integer(self, tmp_path, seed):
+        config = {"dataset": {"family": "user_groups", "m": 4, "n": 6, "seed": seed}}
+        with pytest.raises(ValueError) as err:
+            cmd_generate(config, tmp_path / "out")
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+        assert not (tmp_path / "out").exists()
+
     def test_needs_family(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}}
         with pytest.raises(ValueError):
@@ -486,6 +494,26 @@ class TestReport:
         _, hv_path = cmd_report(solutions, report_cfg, tmp_path / "rep2")
         rows = read_rows(hv_path)
         assert all(r["axis"] == "mean_gap_vs_utility_norm" for r in rows)
+
+    @pytest.mark.parametrize("report_cfg, message", [
+        ({"axes": [{"x": "inferiority_nrom", "y": "utility_norm"}]},
+         "report axis x must be one of {columns}, got 'inferiority_nrom'"),
+        # a SolutionPoint field that solutions.csv does not store
+        ({"axes": [{"x": "overall_fairness", "y": "utility_norm"}]},
+         "report axis x must be one of {columns}, got 'overall_fairness'"),
+        ({"axes": [{"x": "mean_gap", "y": "utility"}, {"x": "envy"}]},
+         "report axis y must be one of {columns}, got None"),
+        ({"axes": [{"x": "envy", "y": "utility", "thresold": 0.9}]},
+         "unknown report axis config keys ['thresold']; "
+         "valid keys are ['x', 'y', 'ref', 'threshold']"),
+        ({"axis": []}, "unknown report config keys ['axis']; valid keys are ['axes']"),
+    ], ids=["misspelled", "not_stored", "missing_y", "axis_key", "report_key"])
+    def test_bad_axis_config_rejected_before_writing(self, solutions, tmp_path, report_cfg,
+                                                     message):
+        with pytest.raises(ValueError) as err:
+            cmd_report(solutions, report_cfg, tmp_path / "rep")
+        assert str(err.value) == message.format(columns=feir.cli.METRIC_COLUMNS)
+        assert not (tmp_path / "rep").exists()
 
     def test_undefined_cells_marked(self, tmp_path, intro_dataset):
         # naive-only run: overall_norm is undefined when naive fairness is 0

@@ -212,6 +212,14 @@ class TestScorePair:
         assert pair.shared and pair.m == 2 and pair.n == 3
         np.testing.assert_array_equal(pair.U, pair.S)
 
+    def test_one_array_for_both_roles(self, tmp_path):
+        save_matrix(INTRO_U, tmp_path / "u.csv")
+        for pair in (ScorePair.single(INTRO_U), load_scores(tmp_path / "u.csv")):
+            assert pair.U is pair.S and not np.shares_memory(pair.U, INTRO_U)
+        # two arrays keep two copies, even when they are equal
+        pair = ScorePair(U=INTRO_U, S=INTRO_U.copy(), shared=True)
+        assert not np.shares_memory(pair.U, pair.S)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             ScorePair(U=INTRO_U, S=INTRO_U[:, :2])

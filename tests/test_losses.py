@@ -11,6 +11,7 @@ from feir.losses import (
     LossWeights,
     SuitabilityOrder,
     _inferiority_loss_grad,
+    _penalty_loss_grad,
     expected_pair_envy,
     expected_pair_inferiority,
     expected_user_utility,
@@ -19,7 +20,6 @@ from feir.losses import (
     hit_probability_grad,
     mc_estimate,
     pair_envy_matrix,
-    penalty_loss,
 )
 from feir.optim import loss_and_grad
 
@@ -246,11 +246,12 @@ class TestInferiorityKernel:
 class TestPenaltyAndTotal:
     def test_penalty_zero_on_stochastic(self):
         P = random_policy(np.random.default_rng(0), 4, 5)
-        assert penalty_loss(P) == pytest.approx(0.0, abs=1e-25)
+        assert _penalty_loss_grad(P)[0] == pytest.approx(0.0, abs=1e-25)
 
     def test_penalty_values(self):
-        assert penalty_loss(np.array([[1.0, 0.5]])) == pytest.approx(0.25, abs=1e-12)
-        assert penalty_loss(np.array([[0.4, 0.5], [0.7, 0.5]])) == pytest.approx(0.05, abs=1e-12)
+        assert _penalty_loss_grad(np.array([[1.0, 0.5]]))[0] == pytest.approx(0.25, abs=1e-12)
+        P = np.array([[0.4, 0.5], [0.7, 0.5]])
+        assert _penalty_loss_grad(P)[0] == pytest.approx(0.05, abs=1e-12)
 
     def test_weight_masking(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,7 @@ import feir.optim as optim
 from feir.cli import cmd_run, derive_seed
 from feir.core import Policy, ScorePair, row_softmax, top_k
 from feir.datagen import GenSpec, generate
-from feir.losses import LossWeights, SuitabilityOrder
+from feir.losses import LossWeights
 from feir.metrics import system_metrics
 from feir.optim import (
     Scaling,
@@ -57,7 +57,7 @@ class TestTrainingView:
         assert view.users.tolist() == list(range(6))
         assert view.items.tolist() == list(range(9))
         assert view.f_rows.tolist() == list(range(6))
-        assert view.scope == "global" and view.item_scale == 1.0
+        assert view.item_scale == 1.0
 
     def test_full_size_settings_match_none(self):
         pair = random_pair(0, 6, 9)
@@ -80,7 +80,7 @@ class TestTrainingView:
             for idx in range(n_batches):
                 view = make_training_view(pair, scaling, epoch * n_batches + idx, seed=9)
                 assert view.f_rows.size == 3
-                assert view.scope == "inferiority_batch"
+                assert view.users.size == 10 and view.items.size == 4
                 seen.extend(view.f_rows.tolist())
             assert len(set(seen)) == len(seen) == n_batches * 3
 
@@ -205,15 +205,6 @@ class TestFit:
         trace = fit(pair, cfg)
         assert trace.step_count < 2000
 
-    def test_trace_csv(self, tmp_path):
-        pair = random_pair(11)
-        trace = fit(pair, TrainConfig(k=1, weights=LossWeights(1, 1, 1, 0), max_steps=5))
-        path = tmp_path / "trace.csv"
-        trace.losses_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,envy_loss,inferiority_loss,neg_utility_loss,penalty_loss,total"
-        assert len(lines) == 6
-
 
 class TestScalingEquivalence:
     def test_full_size_scalings_reproduce_none(self):
@@ -317,11 +308,12 @@ class TestViewLossAndGradient:
         scale = max(np.abs(numeric).max(), 1e-12)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3 * scale)
         assert float(rel.max()) < 1e-5
-        # the full instance's order serves a full view; a sampled view sorts its own
-        shared = optim.loss_and_grad(pair.U, pair.S, Z, k, weights, "logits", view,
-                                     SuitabilityOrder(pair.S))
-        assert shared[0] == breakdown
-        np.testing.assert_array_equal(shared[1], analytic)
+        # an objective sorts S once for its full views; a sampled view sorts its own
+        objective = optim.Objective(pair.U, pair.S, k, weights, "logits")
+        for _ in range(2):
+            reused = objective(Z, view)
+            assert reused[0] == breakdown
+            np.testing.assert_array_equal(reused[1], analytic)
 
 
 # every subset of the four weights set to 0 that leaves a valid LossWeights
@@ -350,7 +342,6 @@ class TestZeroWeightTerms:
         rng = np.random.default_rng(24)
         k = 2
         view = make_training_view(pair, scaling, step=3, seed=11)
-        order = SuitabilityOrder(pair.S) if scaling.kind in ("none", "minibatch") else None
         for zeros in ZEROED:
             base = [0.5, 2.0, 1.5, 0.7]
             weights = LossWeights(*(0.0 if i in zeros else w for i, w in enumerate(base)))
@@ -358,13 +349,13 @@ class TestZeroWeightTerms:
             params = (rng.normal(size=(7, 5)) if parametrization == "logits"
                       else rng.uniform(0.1, 0.9, (7, 5)))
             expected = oracles.loss_and_grad_every_term(
-                pair.U, pair.S, params, k, weights, parametrization, view, order)
+                pair.U, pair.S, params, k, weights, parametrization, view)
             got = optim.loss_and_grad(pair.U, pair.S, params, k, weights, parametrization,
-                                      view, order)
+                                      view)
             assert got[0] == expected[0], zeros
             assert np.array_equal(got[1], expected[1]), zeros
             # an objective reused across steps hands out a gradient of its own
-            objective = optim.Objective(pair.U, pair.S, k, weights, parametrization, order)
+            objective = optim.Objective(pair.U, pair.S, k, weights, parametrization)
             for _ in range(2):
                 breakdown, G = objective(params, view)
                 assert breakdown == expected[0], zeros

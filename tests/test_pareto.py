@@ -11,7 +11,6 @@ from feir.metrics import competition_metrics, gini_index, normalized_metrics, sy
 from feir.pareto import (
     METRIC_FIELDS,
     SolutionPoint,
-    failed_solution,
     hypervolume_2d,
     make_solution,
     min_fairness_above_threshold,
@@ -197,9 +196,9 @@ class TestSolutionConstruction:
             make_solution("x", {}, 2, 0, pair, counts, naive_sys)
 
     def test_failed_solution_has_no_metrics(self):
-        p = failed_solution("feir", {"w1": 1.0}, 5, 0, "error: nope")
+        p = SolutionPoint("feir", {"w1": 1.0}, 5, 0, status="error: nope")
         assert p.utility is None and p.status == "error: nope"
 
     def test_params_json_stable(self):
-        p = failed_solution("feir", {"w2": 1.0, "w1": 2.0}, 5, 0, "x")
+        p = SolutionPoint("feir", {"w2": 1.0, "w1": 2.0}, 5, 0, status="x")
         assert p.params_json() == '{"w1":2.0,"w2":1.0}'
