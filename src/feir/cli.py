@@ -13,7 +13,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import numbers
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -68,6 +71,10 @@ def _reject_unknown(what: str, cfg: dict, valid) -> None:
 def _is_int(value) -> bool:
     # JSON true and false load as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _settings_keys(cls, *run_owned) -> tuple:
@@ -350,8 +357,10 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     For each k and configured axis pair the report holds every method's
     Pareto front, its hypervolume against the configured reference point, and
     the minimum unfairness among solutions above the utility threshold. An
-    unknown report or axis key, or an axis metric that solutions.csv does not
-    hold (see METRIC_COLUMNS), raises ValueError before anything is written.
+    unknown report or axis key, an axis metric that solutions.csv does not
+    hold (see METRIC_COLUMNS), a `ref` that is not two finite numbers or a
+    `threshold` that is not a number raises ValueError before anything is
+    written.
     """
     report_config = report_config or {}
     _reject_unknown("report", report_config, REPORT_KEYS)
@@ -362,6 +371,17 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
             if axis.get(key) not in METRIC_COLUMNS:
                 raise ValueError(f"report axis {key} must be one of {METRIC_COLUMNS}, "
                                  f"got {axis.get(key)!r}")
+        name = f"{axis['x']}_vs_{axis['y']}"
+        ref = axis.get("ref")
+        if ref is not None and not (
+            isinstance(ref, (list, tuple)) and len(ref) == 2
+            and all(_is_real(v) and math.isfinite(v) for v in ref)
+        ):
+            raise ValueError(f"report axis {name}: ref must be two finite numbers, got {ref!r}")
+        threshold = axis.get("threshold")
+        if threshold is not None and not _is_real(threshold):
+            raise ValueError(f"report axis {name}: threshold must be a number, "
+                             f"got {threshold!r}")
     if not Path(solutions_path).exists():
         raise FileNotFoundError(solutions_path)
     rows = _read_solutions_csv(Path(solutions_path))
@@ -423,8 +443,10 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
 
 def cmd_check(fast: bool = False) -> int:
     """Quick self-validation: closed forms vs Monte Carlo, analytic gradients
-    vs finite differences, hypervolume vs area sampling, transport marginals.
-    Prints one line per check; returns a process exit code."""
+    vs finite differences, hypervolume vs area sampling, transport marginals,
+    and the CSV matrix writer vs per-value `%.17g`, whose exactness rests on
+    the platform's float64 arithmetic. Prints one line per check; returns a
+    process exit code."""
     failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -505,7 +527,23 @@ def cmd_check(fast: bool = False) -> int:
     dual_ok = bool(np.all(np.diff(info.dual_history) >= -1e-9))
     report("transport marginals satisfied and dual non-decreasing", rows_ok and cols_ok and dual_ok)
 
-    print(f"{4 - failures}/4 checks passed")
+    # the matrix writer vs per-value formatting: random magnitudes over every
+    # layout and the values left to `%`, ties, and the floats around 10**p
+    powers = 10.0 ** np.arange(-6, 18)
+    values = np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9999999999999998.0],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+        rng.integers(26215, 262144, 900) / 2.0**18,
+        rng.uniform(-1.0, 1.0, 9000) * 10.0 ** rng.integers(-7, 18, 9000),
+    ])
+    M = values[:10_000].reshape(100, 100)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in M.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        save_matrix(M, Path(tmp) / "m.csv")
+        written = (Path(tmp) / "m.csv").read_bytes()
+    report("matrix writer matches %.17g", written == expected.encode(), f"{M.size} values")
+
+    print(f"{5 - failures}/5 checks passed")
     return 1 if failures else 0
 
 

@@ -8,6 +8,8 @@ threads.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +95,14 @@ def save_matrix(matrix, path) -> None:
     read back bit-exact and integer counts print as plain digits. An integer
     matrix whose entries all lie in 0-9, such as every 0/1 count matrix that
     `top_k`, `baselines.shuffle` and `baselines.round_robin` make, is
-    formatted as one byte buffer of digits, commas and newlines instead:
-    the same bytes, without a format call per row.
+    formatted as one byte buffer of digits, commas and newlines. Any other
+    matrix is formatted `_BLOCK` entries at a time by `_format_block`, which
+    writes the bytes of `%.17g` with numpy arithmetic, so the whole file is
+    never held in memory.
+
+    The text goes to a temporary file in the target's directory that then
+    replaces the target, so an interrupted or failed write leaves any
+    earlier file at `path` as it was and no partial file behind.
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.size == 0:
@@ -105,12 +113,185 @@ def save_matrix(matrix, path) -> None:
         text[:, 0::2] = M
         text[:, 0::2] += ord("0")
         text[:, -1] = ord("\n")
-        lines = [text.tobytes().decode("ascii")]
+        chunks = [text.tobytes()]
     else:
-        template = ",".join(["%.17g"] * M.shape[1]) + "\n"
-        lines = (template % tuple(row.tolist()) for row in M)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        chunks = _format_blocks(M)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            # a loop, not writelines: holding each chunk until the next is
+            # made kept malloc from trimming and re-faulting a block's
+            # memory every block (22k page faults per 400x1000 matrix)
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# `%.17g` without a format call per value. For 1e-4 <= |x| < 1e16, %.17g
+# prints the 17 significant digits of x, rounded half to even from its exact
+# binary value, in fixed notation with trailing zeros dropped. Scaling |x|
+# by an exact power of ten with an error-free product gives those digits by
+# float64 and int64 arithmetic. Every other value (zero, |x| < 1e-4 or
+# >= 1e16, nan, inf, a non-real dtype) is printed by `%` on its own.
+#
+# A block of 8192 entries keeps its temporaries near 0.5 MB; with blocks of
+# 2048 the su-eval-csv policy matrices took about half as long again.
+_BLOCK = 8192
+_FAST_MIN, _FAST_MAX = 1e-4, 1e16
+_POW10 = 10.0 ** np.arange(23)  # 10**0 .. 10**22, each exact in float64
+
+
+def _veltkamp_split(a):
+    """a == hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+# "0000" .. "9999" as little-endian uint32, and the trailing zeros of each
+# four-digit group, 4 for "0000"
+_GROUPS4 = np.arange(10_000, dtype=np.uint16)[:, None]
+_DIGITS4 = (_GROUPS4 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(
+    np.uint8).view("<u4").ravel()
+_TRAILING_ZEROS4 = (_GROUPS4 % np.array([10, 100, 1000, 10_000], dtype=np.uint16) == 0).sum(
+    axis=1, dtype=np.uint8)
+
+# Each entry is laid out in a row of _W bytes. Its 17 digits sit in cols
+# 6-22. Right before them sit its minus sign and, for |x| < 1, the "0." and
+# zeros of its exponent X in -4..-1 (`_PREFIXES[X + 4]`); for |x| >= 1 the
+# integer digits move one col left to make room for the point. The
+# separator goes right after the last digit printed, so each entry prints
+# one run of bytes: `_MASKS[code]` marks it by exponent, digit count after
+# dropping trailing zeros, and sign, and `_SEP_COL[code]` is its last col.
+# The last code prints col 23 alone, the separator of a value printed by `%`.
+_W = 24
+# _POINT_AT[X] gathers digits 0..16 and "." (index 17) into cols 5-22
+_POINT_AT = np.array([[*range(X + 1), 17, *range(X + 1, 17)] for X in range(16)])
+
+
+def _layout_tables():
+    prefixes = np.zeros((20, _W), dtype=np.uint8)
+    masks = np.zeros((20 * 17 * 2 + 1, _W), dtype=bool)
+    sep_col = np.full(len(masks), _W - 1)
+    for X in range(-4, 16):
+        head = b"-0." + b"0" * (-X - 1) if X < 0 else b"-"
+        prefixes[X + 4, 6 - len(head) - (X >= 0):6 - (X >= 0)] = list(head)
+        for L in range(1, 18):
+            for neg in (0, 1):
+                code = ((X + 4) * 17 + L - 1) * 2 + neg
+                first = 5 - neg + X if X < 0 else 5 - neg
+                sep_col[code] = 6 + L if X < 0 or L > X + 1 else 6 + X
+                masks[code, first:sep_col[code] + 1] = True
+    masks[-1, -1] = True
+    return prefixes, masks, sep_col
+
+
+_PREFIXES, _MASKS, _SEP_COL = _layout_tables()
+_BY_PERCENT = len(_MASKS) - 1
+
+
+def _format_blocks(M: np.ndarray):
+    """Yield the `%.17g` CSV bytes of M, `_BLOCK` entries at a time."""
+    n = M.shape[1]
+    for start in range(0, M.size, _BLOCK):
+        x = M.flat[start:start + _BLOCK]
+        if x.dtype.kind in "biuf":
+            x = x.astype(np.float64)
+        col = np.arange(start, start + x.size) % n
+        yield _format_block(x, np.where(col == n - 1, ord("\n"), ord(",")).astype(np.uint8))
+
+
+def _times_pow10(a, a_hi, a_lo, s):
+    """hi + lo == a * 10**s exactly (Dekker's two-product)."""
+    p_hi, p_lo = _POW10_HI.take(s), _POW10_LO.take(s)
+    hi = a * _POW10.take(s)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _below_above(hi, lo):
+    """Whether hi + lo < 1e16, and whether hi + lo >= 1e17."""
+    return (hi < 1e16) | ((hi == 1e16) & (lo < 0)), (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+
+
+def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
+    """`%.17g` of each entry of the 1-D block x, each followed by its byte
+    of seps."""
+    B = x.size
+    if x.dtype == np.float64:
+        a = np.abs(x)
+        fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+        neg = x < 0
+    else:
+        a, fast, neg = np.ones(B), np.zeros(B, dtype=bool), 0
+    all_fast = fast.all()
+    if not all_fast:
+        a[~fast] = 1.0  # in range; its digits are not printed
+    # a * 10**s lies in [1e16, 1e17) for s = 16 - X. log10 can miss the
+    # exponent X by one near a power of ten; the exact product says which way.
+    s = 16 - np.floor(np.log10(a)).astype(np.intp)
+    a_hi, a_lo = _veltkamp_split(a)
+    hi, lo = _times_pow10(a, a_hi, a_lo, s)
+    if ((hi <= 1e16) | (hi >= 1e17)).any():
+        low, high = _below_above(hi, lo)
+        s += low.astype(np.intp) - high
+        hi, lo = _times_pow10(a, a_hi, a_lo, s)
+        bad = np.logical_or(*_below_above(hi, lo))  # never seen; left to `%`
+        if bad.any():
+            fast &= ~bad
+            all_fast = False
+            s[bad], hi[bad], lo[bad] = 16, 1e16, 0.0  # the product for a = 1
+    # hi is an even integer here, so rounding lo half to even rounds the sum
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    X = 16 - s
+    carry = N == 10**17
+    if carry.any():
+        N[carry] = 10**16
+        X += carry
+
+    # N's digits: a lead digit, then four groups of four
+    head, tail = np.divmod(N, 10**8)
+    lead, head = np.divmod(head, 10**8)
+    groups = np.empty((B, 4), dtype=np.intp)
+    np.divmod(head, 10**4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(tail, 10**4, out=(groups[:, 2], groups[:, 3]))
+    zeros = _TRAILING_ZEROS4.take(groups)
+    trailing = zeros[:, 3].copy()
+    for j in (2, 1, 0):  # add group j's zeros when every group after it is zero
+        trailing += zeros[:, j] * (trailing == 4 * (3 - j))
+
+    if not all_fast:
+        X[~fast] = -1  # keeps them out of the point shift below
+    out = _PREFIXES.take(X + 4, axis=0)
+    out[:, 6] = lead + ord("0")
+    out[:, 7:23] = _DIGITS4.take(groups).view(np.uint8).reshape(B, 16)
+    whole = np.flatnonzero(X >= 0)
+    if whole.size:
+        digits = np.empty((whole.size, 18), dtype=np.uint8)
+        digits[:, :17] = out[whole, 6:23]
+        digits[:, 17] = ord(".")
+        out[whole, 5:23] = np.take_along_axis(digits, _POINT_AT.take(X[whole], axis=0), axis=1)
+    code = ((X + 4) * 17 + 16 - trailing) * 2 + neg
+    if not all_fast:
+        code[~fast] = _BY_PERCENT
+    out.reshape(-1)[np.arange(0, B * _W, _W) + _SEP_COL.take(code)] = seps
+    text = out[_MASKS.take(code, axis=0)].tobytes()
+    if all_fast:
+        return text
+    # splice each `%`-printed value in before its separator
+    ends = np.cumsum(_MASKS.sum(axis=1).take(code)) - 1
+    pieces, done = [], 0
+    for i in np.flatnonzero(~fast):
+        pieces += [text[done:ends[i]], ("%.17g" % x.item(i)).encode()]
+        done = ends[i]
+    pieces.append(text[done:])
+    return b"".join(pieces)
 
 
 def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None) -> Path:

@@ -507,7 +507,20 @@ class TestReport:
          "unknown report axis config keys ['thresold']; "
          "valid keys are ['x', 'y', 'ref', 'threshold']"),
         ({"axis": []}, "unknown report config keys ['axis']; valid keys are ['axes']"),
-    ], ids=["misspelled", "not_stored", "missing_y", "axis_key", "report_key"])
+        ({"axes": [{"x": "envy", "y": "utility", "ref": [1.0]}]},
+         "report axis envy_vs_utility: ref must be two finite numbers, got [1.0]"),
+        ({"axes": [{"x": "envy", "y": "utility", "ref": [1.0, True]}]},
+         "report axis envy_vs_utility: ref must be two finite numbers, got [1.0, True]"),
+        ({"axes": [{"x": "envy", "y": "utility", "ref": [1.0, float("inf")]}]},
+         "report axis envy_vs_utility: ref must be two finite numbers, got [1.0, inf]"),
+        ({"axes": [{"x": "envy", "y": "utility", "ref": "1.0,0.9"}]},
+         "report axis envy_vs_utility: ref must be two finite numbers, got '1.0,0.9'"),
+        ({"axes": [{"x": "envy", "y": "utility", "threshold": "0.9"}]},
+         "report axis envy_vs_utility: threshold must be a number, got '0.9'"),
+        ({"axes": [{"x": "envy", "y": "utility", "threshold": False}]},
+         "report axis envy_vs_utility: threshold must be a number, got False"),
+    ], ids=["misspelled", "not_stored", "missing_y", "axis_key", "report_key", "ref_one_number",
+            "ref_bool", "ref_infinite", "ref_string", "threshold_string", "threshold_bool"])
     def test_bad_axis_config_rejected_before_writing(self, solutions, tmp_path, report_cfg,
                                                      message):
         with pytest.raises(ValueError) as err:
@@ -542,7 +555,7 @@ class TestReport:
 
 def test_check_fast_passes(capsys):
     assert cmd_check(fast=True) == 0
-    assert "4/4 checks passed" in capsys.readouterr().out
+    assert "5/5 checks passed" in capsys.readouterr().out
 
 
 class TestMain:

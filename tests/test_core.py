@@ -1,13 +1,16 @@
 import json
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import feir.core
 from feir.core import (
     CountMatrix,
     DimensionError,
@@ -25,6 +28,39 @@ from feir.core import (
 
 INTRO_U = np.array([[0.2, 0.6, 0.9], [0.1, 0.8, 0.7]])
 
+
+def _dyadic_ties():
+    """x = j / 2**e with exactly 18 significant digits, the last a 5: %.17g
+    rounds each half to even. j odd makes j * 5**e, x's digits, end in 5."""
+    rng = np.random.default_rng(11)
+    ties = [26215 / 2**18]
+    for e in range(1, 58):
+        lo, hi = -(-10**17 // 5**e), min(10**18 // 5**e, 2**53)
+        for j in rng.integers(lo, hi, 6) if lo < hi else []:
+            x = int(j) | 1
+            if 10**17 <= x * 5**e < 10**18:
+                ties.append(x / 2**e)
+    return np.array(ties)
+
+
+def _rounds_up_to_a_power_of_ten():
+    """Floats below 10**p whose 17 significant digits round up to 10**p."""
+    up = []
+    for p in range(-307, 309):
+        x = float(Fraction(10) ** p)
+        for _ in range(3):
+            if Fraction(x) < Fraction(10) ** p and ("%.17g" % x).startswith("1"):
+                up.append(x)
+            x = float(np.nextafter(x, 0.0))
+    return np.array(up)
+
+
+_POWERS = 10.0 ** np.arange(-6, 18)
+_MIXED = np.random.default_rng(12).uniform(-1, 1, 3 * 7001) * 10.0 ** (
+    np.random.default_rng(13).integers(-8, 20, 3 * 7001))
+_MIXED[::97] = 0.0
+_MIXED[::101] = np.nan
+
 # Matrices the CSV writer must print exactly as the per-element oracle does.
 WRITER_CASES = {
     "float_edges": np.array([
@@ -39,6 +75,24 @@ WRITER_CASES = {
     "holds_a_ten": np.array([[0, 9, 3], [10, 1, 0]], dtype=np.int64),
     "one_by_one": np.array([[0.7]]),
     "one_by_n": np.random.default_rng(4).uniform(0.001, 0.999, size=(1, 9)),
+    "dyadic_ties": np.r_[_dyadic_ties(), -_dyadic_ties()].reshape(2, -1),
+    "around_powers_of_ten": np.stack([
+        _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(np.nextafter(_POWERS, 0.0), 0.0),
+        np.nextafter(_POWERS, np.inf), np.nextafter(np.nextafter(_POWERS, np.inf), np.inf),
+    ]),
+    "rounds_up_to_a_power_of_ten": _rounds_up_to_a_power_of_ten()[None, :],
+    # every exponent from -4 to 15, long and short, with and without a point
+    "negative_each_layout": -np.stack([
+        1.2345678901234567 * 10.0 ** np.arange(-4, 16), 10.0 ** np.arange(-4, 16),
+        3.5 * 10.0 ** np.arange(-4, 16), np.nextafter(10.0 ** np.arange(-3, 17), 0.0),
+    ]),
+    "whole_numbers": np.array([[1.0, 10.0, 12345.0, 1e15, 123456789012345.6,
+                                9999999999999998.0, 2.0**53, 7.0]]),
+    # 21003 entries in three blocks, with rows ending inside the blocks
+    "several_blocks": _MIXED.reshape(3, 7001),
+    "float32": np.r_[np.random.default_rng(14).uniform(-2, 2, 10), 1e-30, np.inf, 0.5,
+                     -0.0, np.nan, 3e38].astype(np.float32).reshape(2, 8),
+    "bool": np.random.default_rng(15).random((3, 5)) < 0.5,
 }
 
 
@@ -99,6 +153,19 @@ class TestMatrixIO:
         # bit-equal, so -0.0 keeps its sign and nan compares equal to itself
         assert np.array_equal(back.view(np.uint64), M.astype(float).view(np.uint64))
 
+    def test_tie_rounds_half_to_even(self, tmp_path):
+        save_matrix(np.array([[26215 / 2**18]]), tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == "0.10000228881835938\n"
+
+    @settings(max_examples=200)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.one_of(st.floats(), st.floats(-1e16, 1e16))))
+    def test_save_matches_per_element_writer(self, tmp_path_factory, M):
+        folder = tmp_path_factory.mktemp("writer")
+        save_matrix(M, folder / "m.csv")
+        oracles.save_matrix_per_element(M, folder / "oracle.csv")
+        assert (folder / "m.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
+
     def test_count_matrix_prints_plain_digits(self, tmp_path):
         path = tmp_path / "c.csv"
         save_matrix(np.array([[0, 1, 12], [3, 0, 10]], dtype=np.int64), path)
@@ -110,9 +177,48 @@ class TestMatrixIO:
             save_matrix(bad, tmp_path / "m.csv")
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("bad", [np.array([[0.5, 1 + 2j]]), np.array([["0.5", "0.25"]])],
+                             ids=["complex", "str"])
+    def test_save_rejects_non_real_without_writing(self, tmp_path, bad):
+        with pytest.raises(TypeError, match="must be real number"):
+            save_matrix(bad, tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_to_directory_raises(self, tmp_path):
         with pytest.raises(OSError):
             save_matrix(np.array([[0.5]]), tmp_path)
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "m.csv"
+        save_matrix(np.array([[0.5]]), path)
+        blocks = []
+        real = feir.core._format_block
+
+        def fail_on_second_block(*args):
+            blocks.append(args)
+            if len(blocks) == 2:
+                raise error("cut mid-write")
+            return real(*args)
+
+        monkeypatch.setattr(feir.core, "_format_block", fail_on_second_block)
+        M = WRITER_CASES["several_blocks"]
+        for target in (path, tmp_path / "new.csv"):
+            blocks.clear()
+            with pytest.raises(error):
+                save_matrix(M, target)
+        assert path.read_text() == "0.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+    def test_save_peak_memory_below_matrix_size(self, tmp_path):
+        M = np.random.default_rng(0).uniform(0.001, 0.999, (1000, 500))
+        tracemalloc.start()
+        try:
+            save_matrix(M, tmp_path / "m.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= M.nbytes
 
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
