@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import CountMatrix, Policy, ScorePair, row_softmax, top_k
 
@@ -63,6 +62,19 @@ class SinkhornError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, for finite real a, by the steps that
+    scipy.special.logsumexp takes for real input (as of scipy 1.17), in its
+    order, so the bits match: the maxima are counted and kept out of the
+    shifted sum."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    count = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    # scipy divides only where s != 0, but 0 / count is 0 anyway
+    return np.squeeze(np.log1p(s / count) + np.log(count) + a_max, axis=axis)
 
 
 def naive(scores: ScorePair, k: int) -> CountMatrix:
@@ -118,8 +130,8 @@ def congestion_alleviation(
     row_res = col_res = np.inf
     for sweeps in range(1, config.max_iters + 1):
         # column step then row step, so the row constraint ends exact
-        g = eps * log_b - eps * logsumexp((P0 + f[:, None]) / eps, axis=0)
-        f = eps * log_a - eps * logsumexp((P0 + g[None, :]) / eps, axis=1)
+        g = eps * log_b - eps * _logsumexp((P0 + f[:, None]) / eps, axis=0)
+        f = eps * log_a - eps * _logsumexp((P0 + g[None, :]) / eps, axis=1)
         logQ = (P0 + f[:, None] + g[None, :]) / eps
         Q = np.exp(logQ)
         duals.append(float(f @ a + g @ b - eps * Q.sum()))

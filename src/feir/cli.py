@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
 from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
-from .losses import LossWeights, SuitabilityOrder
+from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
 PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
@@ -317,13 +317,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     existing = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
     seen = {_row_key(r) for r in existing}
     save_dir = out_dir / "matrices" if save_matrices else None
-    # S is fixed for the run, so every evaluation shares one sort of it
-    order = SuitabilityOrder(scores.S)
 
     new_rows = []
     for k in ks:
         naive_counts = top_k(scores.U, k)
-        naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts, order=order)
+        naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
         # every adapter builds its settings before the first solve at this k
         runs = [(method, params, solve)
                 for method, (adapter, _) in METHODS.items() if method in methods
@@ -339,9 +337,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
             seen.add(key)
             try:
                 counts, policy = solve(seed)
-                point = pareto.make_solution(
-                    method, params, k, seed, scores, counts, naive_sys, order
-                )
+                point = pareto.make_solution(method, params, k, seed, scores, counts, naive_sys)
                 _save_artifacts(save_dir, point, counts, policy)
             except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
                 point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")

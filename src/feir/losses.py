@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,12 @@ def expected_pair_inferiority(i: int, i_star: int, S, P, k: int) -> float:
 def pair_envy_matrix(U, P, k: int) -> np.ndarray:
     """All pairwise expected envies; entry [i, t] is envy from i toward t.
 
-    With a count matrix for P and k=1 it is the realized pairwise envy.
+    With a count matrix for P and k=1 it is the realized pairwise envy; a
+    scipy.sparse count matrix costs a product over its nonzeros only.
     """
     U = np.asarray(U, dtype=float)
-    P = np.asarray(P, dtype=float)
+    if not sparse.issparse(P):
+        P = np.asarray(P, dtype=float)
     M = U @ P.T
     # the own-list term is M's diagonal; reusing it makes equal rows cancel exactly
     E = k * (M - np.diag(M)[:, None])
@@ -149,7 +152,7 @@ class SuitabilityOrder:
     with no positive deficit is exactly 0. The sort need not be stable: tied
     users sit across a zero gap and get identical sums in any order.
 
-    S never changes during a fit or a run, so one order serves all of it.
+    S never changes during a fit, so one order serves all of it.
     The `sorted_*` methods work in sorted coordinates (`gather`), which lets
     a caller gather its inputs once and scatter only its results.
     """

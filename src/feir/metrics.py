@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .core import CountMatrix, DimensionError
 from .losses import SuitabilityOrder, pair_envy_matrix
@@ -22,6 +23,65 @@ def _counts(C) -> np.ndarray:
 def _require_binary(C: np.ndarray) -> None:
     if not np.all((C == 0) | (C == 1)):
         raise ValueError("this metric requires a binary count matrix")
+
+
+@dataclass(frozen=True)
+class _Picks:
+    """The (user, item) entries a count matrix recommends, in item-major
+    order, with each pick's inferiority terms against the item's other
+    recipients."""
+
+    users: np.ndarray      # the recipient of each pick
+    lists: sparse.csc_array  # the count matrix, stored column by column
+    shortfall: np.ndarray  # sum over more suitable co-recipients t of S[t, j] - S[i, j]
+    rivals: np.ndarray     # how many co-recipients are strictly more suitable
+
+    def per_user(self, values: np.ndarray) -> np.ndarray:
+        """Sum a per-pick array over each user's picks."""
+        return np.bincount(self.users, weights=values, minlength=self.lists.shape[0])
+
+
+def _picks(S, C) -> _Picks:
+    """List C's picks and score each against the item's other recipients.
+
+    Item j's recipients fill column j of a (most recipients of any item) x
+    (picked items) matrix. The padding has weight 0, so it adds nothing to
+    any sum, and the lowest picked suitability, so it sits at the bottom of
+    every column and splits no gap between recipients. `SuitabilityOrder` of
+    that small matrix gives the exact deficit and rival sums without sorting
+    the whole m x n S.
+    """
+    C = _counts(C)
+    if np.shape(S) != C.shape:
+        raise DimensionError(f"shape mismatch: S {np.shape(S)}, C {C.shape}")
+    m, n = C.shape
+    users, items = np.divmod(np.flatnonzero(C), n)
+    by_item = np.argsort(items, kind="stable")
+    users, items = users[by_item], items[by_item]
+    per_item = np.bincount(items, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(per_item, out=indptr[1:])
+    lists = sparse.csc_array((C[users, items].astype(float), users, indptr), shape=(m, n))
+
+    # slot of each pick in the padded layout: (position among the item's
+    # recipients, index among the picked items)
+    picked = per_item > 0
+    col = (np.cumsum(picked) - 1)[items]
+    row = np.arange(items.size) - indptr[items]
+    s = np.asarray(S, dtype=float)[users, items]
+    # `initial` gives an all-zero C, with no picks, an empty layout
+    layout = np.full((per_item.max(initial=0), np.count_nonzero(picked)), s.min(initial=np.inf))
+    flat = row * layout.shape[1] + col
+    layout.flat[flat] = s
+    weight = np.zeros_like(layout)
+    weight.flat[flat] = 1.0
+    order = SuitabilityOrder(layout)
+    return _Picks(
+        users=users,
+        lists=lists,
+        shortfall=order.shortfall(weight).take(flat),
+        rivals=order.weight_strictly_above(weight).take(flat),
+    )
 
 
 @dataclass(frozen=True)
@@ -89,15 +149,15 @@ def user_inferiority(i: int, i_star: int, S, C) -> float:
     return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
 
 
-def system_metrics(U, S, C, order: SuitabilityOrder | None = None,
-                   deficits: np.ndarray | None = None) -> SystemMetrics:
+def system_metrics(U, S, C, picks: _Picks | None = None) -> SystemMetrics:
     """System utility, envy, and inferiority of a realized recommendation.
 
     Utility is the per-user mean. Envy sums max(0, pairwise envy) and
     inferiority sums all pairwise deficits, each over ordered user pairs and
-    divided by the number of users m, never by the number of pairs. A caller
-    that already holds S's SuitabilityOrder, or `overlap_deficits(S, C)`,
-    passes it to skip recomputing it.
+    divided by the number of users m, never by the number of pairs. Both
+    pair sums are taken from the lists' picks (`_picks`), so the cost grows
+    with the m*k recommended entries, not with m*n; a caller that already
+    holds `_picks(S, C)` passes it to skip rebuilding it.
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -109,16 +169,13 @@ def system_metrics(U, S, C, order: SuitabilityOrder | None = None,
         raise ValueError("count matrix rows must all sum to the same k")
     k = int(row_sums[0])
     m = U.shape[0]
+    if picks is None:
+        picks = _picks(S, C)
 
     utility = float(np.sum(U * C) / m)
-    if m == 1:
-        envy = inferiority = 0.0
-    else:
-        E = pair_envy_matrix(U, C, 1)
-        envy = float(np.sum(np.maximum(0.0, E)) / m)
-        if deficits is None:
-            deficits = overlap_deficits(S, C, order)
-        inferiority = float(np.sum(deficits.sum(axis=1)) / m)
+    E = pair_envy_matrix(U, picks.lists, 1)
+    envy = float(np.sum(np.maximum(0.0, E)) / m)
+    inferiority = float(np.sum(picks.per_user(picks.shortfall)) / m)
     return SystemMetrics(
         utility=utility,
         envy=envy,
@@ -128,29 +185,14 @@ def system_metrics(U, S, C, order: SuitabilityOrder | None = None,
     )
 
 
-def overlap_deficits(S, C, order: SuitabilityOrder | None = None) -> np.ndarray:
-    """[i, j] = sum over the other users t who also received item j of
-    max(0, S[t, j] - S[i, j]), for every item j user i received (0 elsewhere).
-
-    Row sums are each user's outgoing inferiority; `order` is S's
-    SuitabilityOrder when the caller holds one (None builds it).
-    """
-    C = _counts(C)
-    if np.shape(S) != C.shape:
-        raise DimensionError(f"shape mismatch: S {np.shape(S)}, C {C.shape}")
-    B = (C > 0).astype(float)
-    if order is None:
-        order = SuitabilityOrder(S)
-    return B * order.shortfall(B)
-
-
 def inferiority_by_user(S, C) -> np.ndarray:
     """Total outgoing inferiority of each user, summed over all rivals.
 
     The mean of this vector over any user subset gives that group's
     inferiority; the mean over everyone times m recovers the system pair sum.
     """
-    return np.sum(overlap_deficits(S, C), axis=1)
+    picks = _picks(S, C)
+    return picks.per_user(picks.shortfall)
 
 
 def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> NormalizedMetrics:
@@ -171,29 +213,24 @@ def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> 
     )
 
 
-def competition_metrics(S, C, k: int | None = None, order: SuitabilityOrder | None = None,
-                        deficits: np.ndarray | None = None) -> CompetitionMetrics:
+def competition_metrics(S, C, k: int | None = None,
+                        picks: _Picks | None = None) -> CompetitionMetrics:
     """Per-user competition indicators on a binary recommendation.
 
     For each recommended item, a user's rivals are the strictly more suitable
     users who received the same item. rank(i) averages rival counts over the
     k slots; gap(i) averages the mean suitability shortfall against those
-    rivals (a slot with no rivals contributes 0). `order` and `deficits` are
-    as in `system_metrics`.
+    rivals (a slot with no rivals contributes 0). Both come from the picks,
+    as in `system_metrics`, which is also where `picks` is described.
     """
-    S = np.asarray(S, dtype=float)
     C = _counts(C)
-    _require_binary(C)
+    if picks is None:
+        picks = _picks(S, C)
+    _require_binary(picks.lists.data)
     if k is None:
         k = int(C[0].sum())
-    B = C.astype(float)
-    if order is None:
-        order = SuitabilityOrder(S)
-    # rivals of i on item j: the picked users strictly more suitable than i
-    rival_counts = B * order.weight_strictly_above(B)
-    gap_sums = overlap_deficits(S, C, order) if deficits is None else deficits
-    rank_per_user = rival_counts.sum(axis=1) / k
-    gap_per_user = np.sum(gap_sums / np.maximum(1.0, rival_counts), axis=1) / k
+    rank_per_user = picks.per_user(picks.rivals) / k
+    gap_per_user = picks.per_user(picks.shortfall / np.maximum(1.0, picks.rivals)) / k
     rank_per_user.setflags(write=False)
     gap_per_user.setflags(write=False)
     return CompetitionMetrics(

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CountMatrix, ScorePair
-from .losses import SuitabilityOrder
 from .metrics import (
     SystemMetrics,
+    _picks,
     competition_metrics,
     gini_index,
     normalized_metrics,
-    overlap_deficits,
     system_metrics,
 )
 
@@ -76,19 +75,16 @@ def make_solution(
     scores: ScorePair,
     counts: CountMatrix,
     naive_system: SystemMetrics,
-    order: SuitabilityOrder | None = None,
 ) -> SolutionPoint:
     """Evaluate a realized recommendation into a SolutionPoint.
 
-    The system and competition metrics share one SuitabilityOrder of S
-    (`order`, or one built here) and one `overlap_deficits` matrix.
+    The lists' picks, with each pick's deficit and rival count, are built
+    once and shared by the system and competition metrics.
     """
-    if order is None:
-        order = SuitabilityOrder(scores.S)
-    deficits = overlap_deficits(scores.S, counts, order)
-    sys = system_metrics(scores.U, scores.S, counts, deficits=deficits)
+    picks = _picks(scores.S, counts)
+    sys = system_metrics(scores.U, scores.S, counts, picks=picks)
     norm = normalized_metrics(sys, naive_system)
-    comp = competition_metrics(scores.S, counts, k, order=order, deficits=deficits)
+    comp = competition_metrics(scores.S, counts, k, picks=picks)
     return SolutionPoint(
         method=method,
         params=params,

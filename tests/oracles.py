@@ -10,12 +10,14 @@ from scipy.stats import truncnorm
 from feir.core import CountMatrix, DimensionError, MatrixFormatError, row_softmax
 from feir.losses import (
     LossBreakdown,
+    SuitabilityOrder,
     _envy_loss_grad,
     _inferiority_loss_grad,
     _penalty_loss_grad,
     _utility_loss_grad,
     hit_probability,
     hit_probability_grad,
+    pair_envy_matrix,
     softmax_grad_chain,
 )
 from feir.optim import _full_view, _view_index
@@ -67,6 +69,20 @@ def rank_and_gap(S, C, k):
         ranks.append(rank_total / k)
         gaps.append(gap_total / k)
     return ranks, gaps
+
+
+def realized_terms_dense(U, S, C):
+    """The evaluation kernel before it scored only the recommended entries:
+    a SuitabilityOrder of the whole m x n S and a dense envy product.
+
+    Returns the pairwise envy matrix and, for each entry (i, j) with
+    C[i, j] > 0, the summed deficit max(0, S[t, j] - S[i, j]) and the count
+    of strictly more suitable users t over the other recipients of item j
+    (both 0 where i did not receive j)."""
+    B = (np.asarray(C) > 0).astype(float)
+    order = SuitabilityOrder(S)
+    envy = pair_envy_matrix(U, C, 1)
+    return envy, B * order.shortfall(B), B * order.weight_strictly_above(B)
 
 
 def gini(C):

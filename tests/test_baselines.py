@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from feir.baselines import (
     CAConfig,
     RRConfig,
     SinkhornError,
+    _logsumexp,
     congestion_alleviation,
     naive,
     round_robin,
@@ -123,6 +125,22 @@ class TestCongestionAlleviation:
             CAConfig(epsilon=0.1, marginal_tol=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             CAConfig(epsilon=0.1, max_iters=0)
+
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("eps", [0.0003, 0.003, 0.01, 0.1])
+    def test_logsumexp_matches_scipy_bits(self, eps, axis):
+        rng = np.random.default_rng(9)
+        smooth = rng.uniform(0.01, 0.99, (30, 50))
+        # one-decimal entries tie at many lines' maximum; a constant line is
+        # all maxima, so its shifted sum is exactly 0
+        a = np.where(rng.random(smooth.shape) < 0.5, smooth, np.round(smooth, 1) + 0.05)
+        a[3] = 0.5
+        a[:, 3] = 0.5
+        a = a / eps
+        at_max = (a == a.max(axis=axis, keepdims=True)).sum(axis=axis)
+        assert (at_max == 1).any() and (at_max > 1).any()
+        assert np.array_equal(_logsumexp(a, axis), logsumexp(a, axis=axis))
 
 
 class TestRoundRobin:

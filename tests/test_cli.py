@@ -429,7 +429,7 @@ class TestRun:
         defaults = TrainConfig(k=1, weights=default.weights, seed=default.seed)
         assert default == defaults
 
-    def test_one_sort_for_evaluation_plus_one_per_fit(self, tmp_path, order_builds):
+    def test_only_fits_sort_the_full_scores(self, tmp_path, order_builds):
         config = {
             "seed": 3, "ks": [5], "dataset": {"family": "user_groups", "m": 20, "n": 100},
             "methods": {"naive": {}, "ca": {"epsilons": [0.01]},
@@ -437,7 +437,12 @@ class TestRun:
         }
         rows = read_rows(cmd_run(config, tmp_path))
         assert [r["status"] for r in rows] == ["ok"] * 4
-        assert order_builds == [(20, 100)] * (1 + 2)
+        # one full m x n order per fit; evaluation sorts only each list's picks
+        assert [shape for shape in order_builds if shape == (20, 100)] == [(20, 100)] * 2
+        evaluation = [shape for shape in order_builds if shape != (20, 100)]
+        # the naive reference, then each of the four solutions once
+        assert len(evaluation) == 1 + 4
+        assert all(height * width < 20 * 100 for height, width in evaluation)
 
     def test_end_to_end_determinism(self, tmp_path):
         config = {

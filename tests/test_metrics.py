@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from feir.core import top_k
+from feir.core import DimensionError, top_k
 from feir.metrics import (
     competition_metrics,
     gini_index,
@@ -230,6 +230,108 @@ class TestCompetition:
                 picked = S[C[:, j] == 1, j]
                 tied_rivals += picked.size - np.unique(picked).size
         assert tied_rivals > 0
+
+
+def tied_instance(seed, m, n):
+    """U and a one-decimal S, so tied suitabilities (and tied rivals) are common."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.01, 0.99, (m, n)), np.round(rng.uniform(0.0, 1.0, (m, n)), 1), rng
+
+
+def assert_matches_dense(U, S, C, k):
+    """Every metric of the pick path against the dense m x n kernel and the
+    brute-force loops."""
+    envy, deficits, rivals = oracles.realized_terms_dense(U, S, C)
+    m = C.shape[0]
+    sys = system_metrics(U, S, C)
+    by_user = inferiority_by_user(S, C)
+    np.testing.assert_allclose(by_user, deficits.sum(axis=1), rtol=1e-12, atol=1e-12)
+    assert sys.inferiority == pytest.approx(deficits.sum() / m, rel=1e-12, abs=1e-12)
+    assert sys.envy == pytest.approx(np.maximum(0.0, envy).sum() / m, rel=1e-12, abs=1e-12)
+    u_ref, e_ref, f_ref = oracles.system_values(U.tolist(), S.tolist(), C.tolist())
+    assert (sys.utility, sys.envy, sys.inferiority) == pytest.approx((u_ref, e_ref, f_ref), abs=1e-12)
+    ref_by_user = [sum(oracles.inferiority_user(i, t, S.tolist(), C.tolist())
+                       for t in range(m) if t != i) for i in range(m)]
+    np.testing.assert_allclose(by_user, ref_by_user, atol=1e-12)
+    assert (by_user >= 0.0).all()
+    if np.all((C == 0) | (C == 1)):
+        comp = competition_metrics(S, C, k)
+        # rival counts are sums of ones, exact in any order
+        assert comp.mean_rank_per_user.tolist() == (rivals.sum(axis=1) / k).tolist()
+        gaps = np.sum(deficits / np.maximum(1.0, rivals), axis=1) / k
+        np.testing.assert_allclose(comp.mean_gap_per_user, gaps, rtol=1e-12, atol=1e-12)
+        ranks_ref, gaps_ref = oracles.rank_and_gap(S.tolist(), C.tolist(), k)
+        np.testing.assert_allclose(comp.mean_rank_per_user, ranks_ref, atol=1e-12)
+        np.testing.assert_allclose(comp.mean_gap_per_user, gaps_ref, atol=1e-12)
+
+
+class TestPickPath:
+    """The metrics score each list from its picks; the dense m x n kernel
+    (oracles.realized_terms_dense) and the brute-force loops are the reference."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_binary_lists_match_dense(self, seed, m, n, data):
+        k = data.draw(st.integers(1, n))
+        U, S, rng = tied_instance(seed, m, n)
+        C = top_k(rng.uniform(size=(m, n)), k).C
+        assert_matches_dense(U, S, C, k)
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 4))
+    def test_repeated_counts_match_dense(self, seed, m, n, k):
+        U, S, rng = tied_instance(seed, m, n)
+        C = rng.multinomial(k, np.full(n, 1.0 / n), size=m)
+        assert_matches_dense(U, S, C, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_item_to_every_user(self, seed):
+        # k = n: the padded layout is as large as S, with no padding
+        U, S, _ = tied_instance(seed, 6, 4)
+        assert_matches_dense(U, S, np.ones((6, 4), dtype=int), 4)
+
+    def test_single_user(self):
+        U, S, _ = tied_instance(1, 1, 5)
+        C = np.array([[0, 1, 1, 0, 1]])
+        assert_matches_dense(U, S, C, 3)
+        sys = system_metrics(U, S, C)
+        assert sys.envy == 0.0 and sys.inferiority == 0.0
+
+    def test_unpicked_items(self):
+        U, S, _ = tied_instance(2, 4, 9)
+        C = np.zeros((4, 9), dtype=int)
+        C[:, [1, 4]] = 1  # seven items no one received
+        assert_matches_dense(U, S, C, 2)
+
+    def test_recipient_tied_with_padding(self):
+        # item 0 has three recipients and item 1 two, so item 1's column is
+        # padded with the lowest picked suitability, 0.2, which user 3 also
+        # has on item 1: a weightless padding entry sits in a tie with it
+        S = np.array([[0.4, 0.9], [0.5, 0.9], [0.7, 0.9], [0.9, 0.2], [0.9, 0.6]])
+        C = np.array([[1, 0], [1, 0], [1, 0], [0, 1], [0, 1]])
+        U = np.full(S.shape, 0.5)
+        assert_matches_dense(U, S, C, 1)
+        comp = competition_metrics(S, C, 1)
+        assert comp.mean_rank_per_user.tolist() == [2.0, 1.0, 0.0, 1.0, 0.0]
+        np.testing.assert_allclose(comp.mean_gap_per_user, [0.2, 0.2, 0.0, 0.4, 0.0], atol=1e-12)
+
+    def test_all_zero_counts(self):
+        U, S, _ = tied_instance(3, 3, 4)
+        C = np.zeros((3, 4), dtype=int)
+        sys = system_metrics(U, S, C)
+        assert (sys.utility, sys.envy, sys.inferiority, sys.k) == (0.0, 0.0, 0.0, 0)
+        assert inferiority_by_user(S, C).tolist() == [0.0, 0.0, 0.0]
+        comp = competition_metrics(S, C, 1)
+        assert comp.mean_rank == 0.0 and comp.mean_gap == 0.0
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (5, 6), (4, 7)])
+    def test_mismatched_counts_rejected(self, shape):
+        U, S, _ = tied_instance(4, 4, 6)
+        C = top_k(np.random.default_rng(1).uniform(size=shape), 2).C
+        with pytest.raises(DimensionError):
+            system_metrics(U, S, C)
+        with pytest.raises(DimensionError):
+            inferiority_by_user(S, C)
+        with pytest.raises(DimensionError):
+            competition_metrics(S, C, 2)
 
 
 class TestGini:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import feir.pareto
 import oracles
 from feir.core import DimensionError, ScorePair, top_k
-from feir.losses import SuitabilityOrder
 from feir.metrics import competition_metrics, gini_index, normalized_metrics, system_metrics
 from feir.pareto import (
     METRIC_FIELDS,
@@ -167,9 +166,8 @@ class TestSolutionConstruction:
         comp = competition_metrics(pair.S, counts, k)
         separate = {**vars(sys), **vars(norm), "mean_rank": comp.mean_rank,
                     "mean_gap": comp.mean_gap, "gini": gini_index(counts)}
-        for order in (None, SuitabilityOrder(pair.S)):
-            p = make_solution("x", {}, k, 0, pair, counts, naive_sys, order)
-            assert [p.metric(f) for f in METRIC_FIELDS] == [separate[f] for f in METRIC_FIELDS]
+        p = make_solution("x", {}, k, 0, pair, counts, naive_sys)
+        assert [p.metric(f) for f in METRIC_FIELDS] == [separate[f] for f in METRIC_FIELDS]
 
     def test_make_solution_calls_each_metric_seam_once(self, monkeypatch, order_builds):
         calls = []
@@ -184,7 +182,8 @@ class TestSolutionConstruction:
         counts = top_k(pair.U, 2)
         make_solution("naive", {}, 2, 0, pair, counts, system_metrics(pair.U, pair.S, counts))
         assert sorted(calls) == ["competition_metrics", "system_metrics"]
-        # one order for the naive system_metrics call above, one for make_solution
+        # one pick layout sorted for the naive system_metrics call above, and
+        # one for make_solution, whose two seams share it
         assert len(order_builds) == 2
 
     @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (5, 6), (4, 7)])
