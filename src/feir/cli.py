@@ -17,13 +17,13 @@ import math
 import numbers
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import ScorePair, load_scores, save_matrix, top_k, write_sidecar
+from .core import ScorePair, _replacing, load_scores, save_matrix, top_k, write_sidecar
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -181,7 +181,7 @@ def _read_solutions_csv(path: Path) -> list[dict]:
 
 def _write_solutions_csv(path: Path, rows: list[dict]) -> None:
     rows = sorted(rows, key=lambda r: (int(r["k"]), _row_key(r)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=SOLUTION_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -208,7 +208,7 @@ def _feir_runs(scores, cfg, k, naive_counts):
             policy = fit(scores, replace(base, weights=weights, seed=seed)).final_policy
             return top_k(policy.P, k), policy
 
-        yield {"w1": weights.w1, "w2": weights.w2, "w3": weights.w3, "w4": weights.w4}, solve
+        yield asdict(weights), solve
 
 
 def _shuffle_runs(scores, cfg, k, naive_counts):
@@ -278,8 +278,9 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     solutions.csv (or earlier in this call) is skipped, keeping the old row;
     a re-run only computes the missing rows. The key does not cover the
     dataset or the method's other settings, so a changed config keeps the
-    old rows. solutions.csv is written once, at the end, so an interrupted
-    run leaves it unchanged. Failures that depend on the data become rows
+    old rows. solutions.csv is replaced atomically after each new row, so an
+    interrupted run keeps the rows it finished and a re-run of a finished
+    config does not write it. Failures that depend on the data become rows
     with an error status and the run continues. An unknown top-level key
     (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
     method name, a key its adapter does not read (see METHODS), an unknown
@@ -314,11 +315,10 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
         raise ValueError(f"no valid k for n={scores.n}")
     out_dir.mkdir(parents=True, exist_ok=True)
     solutions_path = out_dir / "solutions.csv"
-    existing = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
-    seen = {_row_key(r) for r in existing}
+    rows = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
+    seen = {_row_key(r) for r in rows}
     save_dir = out_dir / "matrices" if save_matrices else None
 
-    new_rows = []
     for k in ks:
         naive_counts = top_k(scores.U, k)
         naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
@@ -341,9 +341,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 _save_artifacts(save_dir, point, counts, policy)
             except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
                 point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")
-            new_rows.append(_solution_row(point))
+            rows.append(_solution_row(point))
+            _write_solutions_csv(solutions_path, rows)
 
-    _write_solutions_csv(solutions_path, existing + new_rows)
+    if not solutions_path.exists():  # a config with no runs still gets its header
+        _write_solutions_csv(solutions_path, rows)
     return solutions_path
 
 
@@ -352,7 +354,8 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
 
     For each k and configured axis pair the report holds every method's
     Pareto front, its hypervolume against the configured reference point, and
-    the minimum unfairness among solutions above the utility threshold. An
+    the minimum unfairness among solutions whose y metric exceeds the
+    threshold. Both files are replaced atomically. An
     unknown report or axis key, an axis metric that solutions.csv does not
     hold (see METRIC_COLUMNS), a `ref` that is not two finite numbers or a
     `threshold` that is not a number raises ValueError before anything is
@@ -393,7 +396,7 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
 
     pareto_path = out_dir / "pareto.csv"
     hv_path = out_dir / "hv_table.csv"
-    with open(pareto_path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(pareto_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "x_metric", "y_metric", "method", "x", "y", "params", "seed"])
         hv_rows = []
@@ -421,7 +424,7 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
                     hv = pareto.hypervolume_2d(front, ref) if ref else None
                     hv_row[f"hv_{method}"] = _format_cell(hv) if hv is not None else UNDEFINED_CELL
                     if threshold is not None:
-                        phi = pareto.min_fairness_above_threshold(mine, x_m, threshold)
+                        phi = pareto.min_fairness_above_threshold(mine, x_m, threshold, y_m)
                         hv_row[f"min_{method}"] = (
                             _format_cell(phi) if phi is not None else UNDEFINED_CELL
                         )
@@ -430,7 +433,7 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     columns = ["k", "axis"]
     for method in methods:
         columns += [f"hv_{method}", f"min_{method}"]
-    with open(hv_path, "w", encoding="utf-8") as fh:
+    with _replacing(hv_path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in hv_rows:
             fh.write(",".join(row.get(c, UNDEFINED_CELL) for c in columns) + "\n")

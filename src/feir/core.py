@@ -11,6 +11,7 @@ import json
 import os
 import secrets
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,9 +101,7 @@ def save_matrix(matrix, path) -> None:
     writes the bytes of `%.17g` with numpy arithmetic, so the whole file is
     never held in memory.
 
-    The text goes to a temporary file in the target's directory that then
-    replaces the target, so an interrupted or failed write leaves any
-    earlier file at `path` as it was and no partial file behind.
+    The file is replaced atomically (see `_replacing`).
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.size == 0:
@@ -116,16 +115,29 @@ def save_matrix(matrix, path) -> None:
         chunks = [text.tobytes()]
     else:
         chunks = _format_blocks(M)
+    with _replacing(path, binary=True) as fh:
+        # a loop, not writelines: holding each chunk until the next is made
+        # kept malloc from trimming and re-faulting a block's memory every
+        # block (22k page faults per 400x1000 matrix)
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+@contextmanager
+def _replacing(path, binary: bool = False):
+    """Open a file that replaces `path` once the block exits cleanly.
+
+    Everything is written to a temporary file in the target's directory
+    (binary, or UTF-8 text with no newline translation), which `os.replace`
+    then moves over the target. An error or interrupt in the block leaves
+    any earlier file at `path` as it was and no temporary file behind.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "xb")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            # a loop, not writelines: holding each chunk until the next is
-            # made kept malloc from trimming and re-faulting a block's
-            # memory every block (22k page faults per 400x1000 matrix)
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -298,7 +310,7 @@ def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None
     """Write the optional JSON sidecar (same stem, .meta.json) recording provenance."""
     meta_path = Path(matrix_path).with_suffix(".meta.json")
     payload = {"m": int(m), "n": int(n), "k": k, "seed": seed, "generator": generator}
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with _replacing(meta_path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return meta_path
@@ -395,14 +407,6 @@ class Policy:
             raise ValueError(f"k={self.k} outside [1, {P.shape[1]}]")
         object.__setattr__(self, "P", P)
 
-    @property
-    def m(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[1]
-
 
 @dataclass(frozen=True)
 class CountMatrix:
@@ -429,14 +433,6 @@ class CountMatrix:
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
 
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.C.shape[1]
-
 
 def row_softmax(Z) -> np.ndarray:
     """Row-wise softmax with row-max subtraction as the overflow guard.
@@ -458,7 +454,7 @@ def top_k(P, k: int) -> CountMatrix:
     Ties break toward the lowest column index so results are reproducible;
     -0.0 and 0.0 tie. A NaN entry has no rank and raises NumericError.
     """
-    M = P.P if isinstance(P, Policy) else np.asarray(P, dtype=float)
+    M = np.asarray(P, dtype=float)
     m, n = M.shape
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1, {n}]")

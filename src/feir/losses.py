@@ -18,7 +18,7 @@ the pairwise expectation, with subgradient 0 on the inactive branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -50,13 +50,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "envy_loss": self.envy_loss,
-            "inferiority_loss": self.inferiority_loss,
-            "neg_utility_loss": self.neg_utility_loss,
-            "penalty_loss": self.penalty_loss,
-            "total": self.total,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def hit_probability(P, k: int) -> np.ndarray:
@@ -293,8 +287,7 @@ class MCEstimate:
     """Empirical means and standard errors over repeated list samples.
 
     Pairwise envy is the signed expectation (the hinge belongs outside the
-    expectation); envy_pos_mean additionally reports E[max(0, envy)] for
-    inspection of the hinge/expectation ordering gap.
+    expectation).
     """
 
     utility_mean: np.ndarray
@@ -303,7 +296,6 @@ class MCEstimate:
     envy_se: np.ndarray
     inferiority_mean: np.ndarray
     inferiority_se: np.ndarray
-    envy_pos_mean: np.ndarray
     samples: int
 
 
@@ -344,9 +336,8 @@ def mc_estimate(U, S, P, k: int, samples: int, seed: int = 0) -> MCEstimate:
     util_mean, util_se = _mean_se(util)
     envy_mean, envy_se = _mean_se(envy)
     inf_mean, inf_se = _mean_se(inf_samples)
-    envy_pos_mean = np.maximum(0.0, envy).mean(axis=0)
     eye = np.eye(m, dtype=bool)
-    for M in (envy_mean, envy_se, inf_mean, inf_se, envy_pos_mean):
+    for M in (envy_mean, envy_se, inf_mean, inf_se):
         M[eye] = 0.0
     return MCEstimate(
         utility_mean=util_mean,
@@ -355,6 +346,5 @@ def mc_estimate(U, S, P, k: int, samples: int, seed: int = 0) -> MCEstimate:
         envy_se=envy_se,
         inferiority_mean=inf_mean,
         inferiority_se=inf_se,
-        envy_pos_mean=envy_pos_mean,
         samples=samples,
     )

@@ -121,24 +121,22 @@ def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int
     scaling.validate_dims(m, n)
     if scaling.kind == "none":
         return _full_view(m, n)
-    all_users = np.arange(m)
-    all_items = np.arange(n)
     if scaling.kind == "minibatch":
         n_batches = m // scaling.b
         epoch, idx = divmod(step, n_batches)
         perm = np.random.default_rng([seed, 1, epoch]).permutation(m)
         batch = np.sort(perm[idx * scaling.b : (idx + 1) * scaling.b])
-        return TrainingView(all_users, all_items, batch)
+        return TrainingView(np.arange(m), np.arange(n), batch)
+    # the sampled kinds draw users, then items, from one stream, each only
+    # when SCALING_KINDS lists its size for this kind
     rng = np.random.default_rng([seed, 2, step])
-    if scaling.kind == "user_sample":
+    sizes = SCALING_KINDS[scaling.kind]
+    users, items = np.arange(m), np.arange(n)
+    if "m_s" in sizes:
         users = np.sort(rng.choice(m, size=scaling.m_s, replace=False))
-        return TrainingView(users, all_items, np.arange(scaling.m_s))
-    if scaling.kind == "item_sample":
+    if "n_s" in sizes:
         items = np.sort(rng.choice(n, size=scaling.n_s, replace=False))
-        return TrainingView(all_users, items, all_users, item_scale=n / scaling.n_s)
-    users = np.sort(rng.choice(m, size=scaling.m_s, replace=False))
-    items = np.sort(rng.choice(n, size=scaling.n_s, replace=False))
-    return TrainingView(users, items, np.arange(scaling.m_s), item_scale=n / scaling.n_s)
+    return TrainingView(users, items, np.arange(users.size), item_scale=n / items.size)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ undefined stays None end to end, never NaN or infinity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,20 +22,6 @@ from .metrics import (
     normalized_metrics,
     system_metrics,
 )
-
-METRIC_FIELDS = (
-    "utility",
-    "envy",
-    "inferiority",
-    "overall_fairness",
-    "utility_norm",
-    "inferiority_norm",
-    "overall_norm",
-    "mean_rank",
-    "mean_gap",
-    "gini",
-)
-
 
 @dataclass(frozen=True)
 class SolutionPoint:
@@ -65,6 +51,10 @@ class SolutionPoint:
 
     def params_json(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+
+
+# The metric fields of a SolutionPoint: those that default to None, undefined.
+METRIC_FIELDS = tuple(f.name for f in fields(SolutionPoint) if f.default is None)
 
 
 def make_solution(
@@ -175,15 +165,12 @@ def hypervolume_2d(front, ref: tuple[float, float]) -> float:
     return float(area)
 
 
-def min_fairness_above_threshold(points, phi_metric: str, t: float) -> float | None:
-    """Smallest phi among solutions whose normalized utility strictly exceeds t.
+def min_fairness_above_threshold(
+    points, phi_metric: str, t: float, utility_metric: str = "utility_norm"
+) -> float | None:
+    """Smallest phi among solutions whose utility metric strictly exceeds t.
 
     None when no solution qualifies.
     """
-    values = []
-    for p in points:
-        phi = p.metric(phi_metric)
-        u = p.metric("utility_norm")
-        if p.status == "ok" and phi is not None and u is not None and u > t:
-            values.append(phi)
+    values = [phi for phi, u, _ in _defined_points(points, phi_metric, utility_metric) if u > t]
     return min(values) if values else None

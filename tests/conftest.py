@@ -1,3 +1,6 @@
+import contextlib
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -25,3 +28,34 @@ def order_builds(monkeypatch):
 
     monkeypatch.setattr(SuitabilityOrder, "__init__", counting_init)
     return builds
+
+
+@pytest.fixture
+def cut_second_write(monkeypatch):
+    """cut(module, name, error) makes the second write to a file named `name`
+    that `module` opens through `_replacing` raise `error`, so the file is
+    cut mid-write; the real `_replacing` still handles the failure."""
+
+    def cut(module, name, error):
+        real = module._replacing
+
+        @contextlib.contextmanager
+        def replacing(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as fh:
+                if Path(path).name != name:
+                    yield fh
+                    return
+                writes = []
+
+                class Cut:
+                    def write(self, data):
+                        writes.append(data)
+                        if len(writes) == 2:
+                            raise error("cut mid-write")
+                        return fh.write(data)
+
+                yield Cut()
+
+        monkeypatch.setattr(module, "_replacing", replacing)
+
+    return cut

@@ -149,12 +149,68 @@ class TestRun:
         }
         out = tmp_path / "out"
         first = cmd_run(config, out).read_bytes()
+        inode = (out / "solutions.csv").stat().st_ino
         fits = []
         real_fit = feir.cli.fit
         monkeypatch.setattr(feir.cli, "fit", lambda *a, **kw: fits.append(a) or real_fit(*a, **kw))
         second = cmd_run(config, out).read_bytes()
         assert fits == []
         assert second == first
+        # not rewritten either: a replaced file would have a new inode
+        assert (out / "solutions.csv").stat().st_ino == inode
+
+    def test_interrupted_run_resumes_to_the_uninterrupted_file(self, tmp_path, monkeypatch):
+        grid = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 0], [0, 3, 1, 0]]
+        config = {
+            "seed": 4,
+            "dataset": {"family": "user_groups", "m": 8, "n": 20},
+            "ks": [5],
+            "methods": {"naive": {}, "feir": {"weight_grid": grid, "max_steps": 30},
+                        "ca": {"epsilons": [0.01]}},
+        }
+        whole = cmd_run(config, tmp_path / "whole").read_bytes()
+        fits = []
+        real_fit = feir.cli.fit
+
+        def interrupted_fit(*args, **kwargs):
+            fits.append(args)
+            if len(fits) == 3:
+                raise KeyboardInterrupt
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(feir.cli, "fit", interrupted_fit)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            cmd_run(config, out)
+        # the naive row and the first two fits were saved as each finished
+        assert [r["method"] for r in read_rows(out / "solutions.csv")] == ["feir", "feir", "naive"]
+        monkeypatch.setattr(feir.cli, "fit", real_fit)
+        assert cmd_run(config, out).read_bytes() == whole
+        assert [p.name for p in out.iterdir()] == ["solutions.csv"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_rewrite_keeps_earlier_rows(self, tmp_path, intro_dataset, cut_second_write,
+                                              error):
+        config = {
+            "seed": 3,
+            "dataset": {"u_path": str(intro_dataset)},
+            "ks": [1],
+            "methods": {"naive": {}},
+        }
+        out = tmp_path / "out"
+        before = cmd_run(config, out).read_bytes()
+        cut_second_write(feir.cli, "solutions.csv", error)
+        config["methods"]["shuffle"] = {"d": 2}
+        with pytest.raises(error):
+            cmd_run(config, out)
+        assert (out / "solutions.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["solutions.csv"]
+
+    def test_config_without_runs_writes_the_header(self, tmp_path, intro_dataset):
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"ca": {"epsilons": []}}}
+        path = cmd_run(config, tmp_path / "out")
+        assert path.read_text().splitlines() == [",".join(SOLUTION_COLUMNS)]
 
     def test_failures_become_rows(self, tmp_path, intro_dataset):
         # rr with m*k > n under exclusivity cannot allocate; a shuffle pool
@@ -499,6 +555,37 @@ class TestReport:
         _, hv_path = cmd_report(solutions, report_cfg, tmp_path / "rep2")
         rows = read_rows(hv_path)
         assert all(r["axis"] == "mean_gap_vs_utility_norm" for r in rows)
+
+    def test_threshold_reads_the_axis_utility(self, tmp_path):
+        config = {
+            "seed": 1,
+            "dataset": {"family": "user_groups", "m": 8, "n": 20},
+            "ks": [5],
+            "methods": {"naive": {}, "ca": {"epsilons": [0.01, 0.1]}},
+        }
+        solutions = cmd_run(config, tmp_path / "out")
+        # raw utility is about 3.8 here, while utility_norm never exceeds 2
+        axis = {"x": "envy", "y": "utility", "ref": [1.0, 2.0], "threshold": 2.0}
+        _, hv_path = cmd_report(solutions, {"axes": [axis]}, tmp_path / "rep")
+        [hv_row] = read_rows(hv_path)
+        rows = read_rows(solutions)
+        for method in ("naive", "ca"):
+            envy = [float(r["envy"]) for r in rows
+                    if r["method"] == method and float(r["utility"]) > 2.0]
+            assert envy and float(hv_row[f"min_{method}"]) == min(envy)
+
+    @pytest.mark.parametrize("name", ["pareto.csv", "hv_table.csv"])
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_keeps_earlier_report(self, solutions, tmp_path, cut_second_write,
+                                               name, error):
+        rep = tmp_path / "rep"
+        paths = cmd_report(solutions, None, rep)
+        before = [p.read_bytes() for p in paths]
+        cut_second_write(feir.cli, name, error)
+        with pytest.raises(error):
+            cmd_report(solutions, None, rep)
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(p.name for p in rep.iterdir()) == ["hv_table.csv", "pareto.csv"]
 
     @pytest.mark.parametrize("report_cfg, message", [
         ({"axes": [{"x": "inferiority_nrom", "y": "utility_norm"}]},

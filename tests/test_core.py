@@ -227,6 +227,16 @@ class TestMatrixIO:
         meta = json.loads(path.with_suffix(".meta.json").read_text())
         assert meta == {"m": 1, "n": 2, "k": 1, "seed": 7, "generator": "random(...)"}
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_sidecar_write_keeps_earlier_file(self, tmp_path, cut_second_write, error):
+        meta = write_sidecar(tmp_path / "m.csv", 1, 2, seed=7)
+        before = meta.read_bytes()
+        cut_second_write(feir.core, meta.name, error)
+        with pytest.raises(error):
+            write_sidecar(tmp_path / "m.csv", 3, 4, seed=8)
+        assert meta.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [meta.name]
+
     def test_load_scores_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("0.5,1.5\n0.2,0.3\n")

@@ -93,6 +93,14 @@ class TestTrainingView:
         c = make_training_view(pair, scaling, 6, seed=3)
         assert a.users.tolist() != c.users.tolist() or True  # resampled per step
 
+    def test_user_sample_samples_no_items(self):
+        pair = random_pair(2, 10, 4)
+        view = make_training_view(pair, Scaling(kind="user_sample", m_s=5, n_s=3), 2, seed=3)
+        alone = make_training_view(pair, Scaling(kind="user_sample", m_s=5), 2, seed=3)
+        assert view.users.tolist() == alone.users.tolist()
+        assert view.items.tolist() == list(range(4)) and view.item_scale == 1.0
+        assert view.f_rows.tolist() == list(range(5))
+
     def test_item_sample_scales_losses(self):
         pair = random_pair(3, 4, 10)
         view = make_training_view(pair, Scaling(kind="item_sample", n_s=5), 0, seed=0)

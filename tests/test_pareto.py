@@ -139,8 +139,24 @@ class TestMinFairnessAboveThreshold:
         with pytest.raises(ValueError):
             min_fairness_above_threshold([point(0.1, 0.9)], "wat", 0.5)
 
+    def test_reads_the_given_utility_metric(self):
+        pts = [
+            SolutionPoint(method="m", params={}, k=1, seed=0,
+                          envy=0.3, utility=3.7, utility_norm=0.9),
+            SolutionPoint(method="m", params={}, k=1, seed=0,
+                          envy=0.1, utility=1.5, utility_norm=1.0),
+        ]
+        assert min_fairness_above_threshold(pts, "envy", 2.0, "utility") == 0.3
+        assert min_fairness_above_threshold(pts, "envy", 0.95) == 0.1
+
 
 class TestSolutionConstruction:
+    def test_metric_fields_pinned(self):
+        assert METRIC_FIELDS == (
+            "utility", "envy", "inferiority", "overall_fairness", "utility_norm",
+            "inferiority_norm", "overall_norm", "mean_rank", "mean_gap", "gini",
+        )
+
     def test_make_solution_matches_direct_metrics(self):
         rng = np.random.default_rng(3)
         pair = ScorePair.single(rng.uniform(0.01, 0.99, (4, 7)))
