@@ -146,75 +146,108 @@ class SuitabilityOrder:
     with no positive deficit is exactly 0. The sort need not be stable: tied
     users sit across a zero gap and get identical sums in any order.
 
-    S never changes during a fit, so one order serves all of it.
-    The `sorted_*` methods work in sorted coordinates (`gather`), which lets
-    a caller gather its inputs once and scatter only its results.
+    Sorted coordinates are item-major: [j, r] is the user at sorted position
+    r on item j, so each item's users are contiguous and every suffix or
+    prefix sum runs along a row. An array moves into them by one transposed
+    copy and a take within each row (`_gather`), and back by a write within
+    each row and one transposed copy (`_scatter`).
+
+    S never changes during a fit, so one order serves all of it. The
+    training kernel (`_inferiority_loss_grad`) writes its intermediates into
+    the order's workspace, allocated on its first call and reused by every
+    later one, so one order must not run two kernel calls at once.
     """
 
     def __init__(self, S):
         S = np.asarray(S, dtype=float)
-        # flat index of the entry at sorted position r of item j's column
-        self._flat = np.argsort(S, axis=0) * S.shape[1] + np.arange(S.shape[1])
-        self._gap = np.diff(np.take(S, self._flat), axis=0)
+        m, n = S.shape
+        # flat index, in an (n, m) item-major array, of the user at sorted
+        # position r on item j
+        self._flat = np.ascontiguousarray(np.argsort(S, axis=0).T)
+        self._flat += np.arange(n)[:, None] * m
+        self._gap = np.diff(self._gather(S, self._empty(), self._empty()), axis=1)
 
-    def gather(self, w) -> np.ndarray:
-        """w in sorted coordinates: [r, j] is w's entry for the user at
-        sorted position r on item j."""
-        return np.take(np.asarray(w, dtype=float), self._flat)
+    def _empty(self) -> np.ndarray:
+        return np.empty(self._flat.shape)
 
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        """The inverse of `gather`: x back in user coordinates."""
-        out = np.empty_like(x)
-        out.reshape(-1)[self._flat] = x
+    def _gather(self, w, out: np.ndarray, stage: np.ndarray) -> np.ndarray:
+        """w (user coordinates) into `out` in sorted coordinates, through
+        its transposed copy in `stage`."""
+        stage[...] = np.asarray(w).T
+        return stage.take(self._flat, out=out, mode="clip")
+
+    def _scatter(self, xs: np.ndarray, out: np.ndarray, stage: np.ndarray) -> np.ndarray:
+        """The inverse of `_gather`: xs (sorted coordinates) into `out` in
+        user coordinates, through `stage`."""
+        stage.reshape(-1)[self._flat] = xs
+        out[...] = stage.T
         return out
 
     @cached_property
-    def users(self) -> np.ndarray:
-        """[r, j] = the user at sorted position r on item j."""
-        return self._flat // self._flat.shape[1]
+    def _workspace(self) -> tuple[np.ndarray, ...]:
+        # the training kernel's five (n, m) intermediates
+        return tuple(self._empty() for _ in range(5))
+
+    @cached_property
+    def _users(self) -> np.ndarray:
+        """[j, r] = the user at sorted position r on item j."""
+        return self._flat - np.arange(self._flat.shape[0])[:, None] * self._flat.shape[1]
 
     @cached_property
     def _run_end(self) -> np.ndarray:
-        # flat sorted-layout index of the last position of each position's
-        # tie run; a run ends at a positive gap or at the top
-        m, n = self._flat.shape
-        is_end = np.ones((m, n), dtype=bool)
-        is_end[:-1] = self._gap > 0
-        end = np.where(is_end, np.arange(m)[:, None], m - 1)
-        end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
-        return end * n + np.arange(n)
+        # flat sorted index of the last position of each position's tie run;
+        # a run ends at a positive gap or at the top
+        n, m = self._flat.shape
+        is_end = np.ones((n, m), dtype=bool)
+        is_end[:, :-1] = self._gap > 0
+        end = np.where(is_end, np.arange(m), m - 1)
+        end = np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+        return end + np.arange(n)[:, None] * m
 
     @staticmethod
-    def _weight_above(ws: np.ndarray) -> np.ndarray:
-        # row r of the (m-1, n) result sums the sorted weights ws[r+1:]
-        return np.cumsum(ws[:0:-1], axis=0)[::-1]
-
-    def sorted_shortfall(self, ws: np.ndarray) -> np.ndarray:
-        """`shortfall` of the gathered weights, in sorted coordinates."""
-        out = np.zeros_like(ws)
-        out[:-1] = np.cumsum((self._gap * self._weight_above(ws))[::-1], axis=0)[::-1]
+    def _weight_above(ws: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # out[:, r] sums the sorted weights ws[:, r+1:]; out has m - 1 columns
+        np.add.accumulate(ws[:, :0:-1], axis=1, out=out[:, ::-1])
         return out
 
-    def sorted_lead(self, vs: np.ndarray) -> np.ndarray:
-        """[r, j] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
-        position r, with vs = gather(v): how far the weighted users below t
-        trail it on item j, in sorted coordinates."""
-        out = np.zeros_like(vs)
-        out[1:] = np.cumsum(self._gap * np.cumsum(vs[:-1], axis=0), axis=0)
+    def _shortfall(self, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`shortfall` of the gathered weights ws, into `out` (not ws), in
+        sorted coordinates."""
+        body = self._weight_above(ws, out[:, :-1])
+        body *= self._gap
+        rev = body[:, ::-1]
+        np.add.accumulate(rev, axis=1, out=rev)
+        out[:, -1:] = 0.0
+        return out
+
+    def _lead(self, vs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """[j, r] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
+        position r, with vs = v in sorted coordinates, into `out` (not vs):
+        how far the weighted users below t trail it on item j."""
+        body = out[:, 1:]
+        np.add.accumulate(vs[:, :-1], axis=1, out=body)
+        body *= self._gap
+        np.add.accumulate(body, axis=1, out=body)
+        out[:, :1] = 0.0
         return out
 
     def shortfall(self, w) -> np.ndarray:
         """[i, j] = sum_t d[i, t, j] * w[t, j]: how far user i trails the
         weighted users above it on item j."""
-        return self.scatter(self.sorted_shortfall(self.gather(w)))
+        stage, ws = self._empty(), self._empty()
+        self._gather(w, ws, stage)
+        out = np.empty(stage.shape[::-1])
+        return self._scatter(self._shortfall(ws, stage), out, ws)
 
     def weight_strictly_above(self, w) -> np.ndarray:
         """[i, j] = sum of w[t, j] over the users t with S[t, j] > S[i, j]."""
-        ws = self.gather(w)
-        above = np.zeros_like(ws)
-        above[:-1] = self._weight_above(ws)
+        ws, above = self._empty(), self._empty()
+        self._gather(w, ws, stage=above)
+        self._weight_above(ws, above[:, :-1])
+        above[:, -1:] = 0.0
         # each member of a tie run reads the weight above the run's last position
-        return self.scatter(np.take(above, self._run_end))
+        np.take(above, self._run_end, out=ws, mode="clip")
+        return self._scatter(ws, np.empty(ws.shape[::-1]), above)
 
 
 def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
@@ -222,30 +255,49 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
     user), divided by m_norm, plus its gradient w.r.t. every row of P.
 
     `order` is S's SuitabilityOrder when the caller holds one (None builds
-    it). The work runs in sorted coordinates: P is gathered once, and only
-    the loss terms and the gradient are scattered back. with_grad=False
+    it). The work runs in the order's sorted coordinates and workspace: P is
+    gathered once, 1 - P is shared by q = 1 - (1-P)^k and q' = k (1-P)^(k-1),
+    and only the loss terms and the gradient are scattered back, both into
+    the returned array, the one m x n array a call allocates. with_grad=False
     stops after the loss.
     """
     if order is None:
         order = SuitabilityOrder(S)
-    Ps = order.gather(P)
-    q = hit_probability(Ps, k)
-    shortfall = order.sorted_shortfall(q)
+    stage, qg, q, shortfall, x = order._workspace
+    k = int(k)
+    order._gather(P, qg, stage)
+    with np.errstate(over="ignore"):  # as in hit_probability(_grad)
+        np.subtract(1.0, qg, out=qg)
+        np.copyto(q, qg)
+        q **= k
+        np.subtract(1.0, q, out=q)
+        if with_grad:
+            qg **= k - 1
+            qg *= k
+    order._shortfall(q, shortfall)
     measured = np.zeros(P.shape[0])
     measured[f_rows] = 1.0
     if measured.all():  # a factor of 1.0 changes nothing, so skip the products
-        q_measured, own = q, shortfall
-    else:
-        measured = measured[order.users]
-        q_measured, own = q * measured, measured * shortfall
-    # summed in user coordinates, in the order of a kernel that never sorts
-    loss = float(np.sum(order.scatter(q_measured * shortfall)) / m_norm)
+        own, terms = shortfall, x
+    else:  # q becomes q * measured, x measured * shortfall
+        np.take(measured, order._users, out=x, mode="clip")
+        q *= x
+        x *= shortfall
+        own, terms = x, shortfall
+    np.multiply(q, shortfall, out=terms)
+    grad = np.empty(P.shape)
+    # the loss terms are summed in user coordinates, in the order of a kernel
+    # that never sorts
+    loss = float(np.sum(order._scatter(terms, grad, stage)) / m_norm)
     if not with_grad:
         return loss, None
-    qg = hit_probability_grad(Ps, k)
     # a user's row gets its role as measured user i (if in f_rows) and as rival t
-    grad = qg * (own + order.sorted_lead(q_measured))
-    return loss, order.scatter(grad) / m_norm
+    lead = order._lead(q, terms)
+    lead += own
+    lead *= qg
+    order._scatter(lead, grad, stage)
+    grad /= m_norm
+    return loss, grad
 
 
 def _penalty_loss_grad(P, with_grad=True):

@@ -72,12 +72,15 @@ class Scaling:
                 raise ValueError(f"scaling {self.kind!r} requires {name} >= 1")
 
     def validate_dims(self, m: int, n: int) -> None:
-        if self.b is not None and self.b > m:
-            raise ValueError(f"batch size b={self.b} exceeds m={m}")
-        if self.m_s is not None and self.m_s > m:
-            raise ValueError(f"user sample m_s={self.m_s} exceeds m={m}")
-        if self.n_s is not None and self.n_s > n:
-            raise ValueError(f"item sample n_s={self.n_s} exceeds n={n}")
+        """Reject a size this kind reads that exceeds the instance; a size
+        the kind never reads is not checked."""
+        limits = {"b": ("batch size", "m", m), "m_s": ("user sample", "m", m),
+                  "n_s": ("item sample", "n", n)}
+        for name in SCALING_KINDS[self.kind]:
+            what, dim, limit = limits[name]
+            value = getattr(self, name)
+            if value > limit:
+                raise ValueError(f"{what} {name}={value} exceeds {dim}={limit}")
 
 
 @dataclass(frozen=True)

@@ -289,3 +289,85 @@ def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits",
     total = weights.w1 * l_e + weights.w2 * l_f + weights.w3 * l_u + weights.w4 * l_p
     return LossBreakdown(envy_loss=l_e, inferiority_loss=l_f, neg_utility_loss=l_u,
                          penalty_loss=l_p, total=total), G
+
+
+class RankMajorOrder:
+    """`losses.SuitabilityOrder` as it was in rank-major sorted coordinates,
+    frozen as the exact oracle of the item-major one: [r, j] is the user at
+    sorted position r on item j, every suffix and prefix sum runs down a
+    column, and every step allocates its result. The item-major order must
+    give the same bits."""
+
+    def __init__(self, S):
+        S = np.asarray(S, dtype=float)
+        # flat index of the entry at sorted position r of item j's column
+        self._flat = np.argsort(S, axis=0) * S.shape[1] + np.arange(S.shape[1])
+        self._gap = np.diff(np.take(S, self._flat), axis=0)
+
+    def gather(self, w):
+        return np.take(np.asarray(w, dtype=float), self._flat)
+
+    def scatter(self, x):
+        out = np.empty_like(x)
+        out.reshape(-1)[self._flat] = x
+        return out
+
+    @property
+    def users(self):
+        return self._flat // self._flat.shape[1]
+
+    @property
+    def _run_end(self):
+        m, n = self._flat.shape
+        is_end = np.ones((m, n), dtype=bool)
+        is_end[:-1] = self._gap > 0
+        end = np.where(is_end, np.arange(m)[:, None], m - 1)
+        end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+        return end * n + np.arange(n)
+
+    @staticmethod
+    def _weight_above(ws):
+        return np.cumsum(ws[:0:-1], axis=0)[::-1]
+
+    def sorted_shortfall(self, ws):
+        out = np.zeros_like(ws)
+        out[:-1] = np.cumsum((self._gap * self._weight_above(ws))[::-1], axis=0)[::-1]
+        return out
+
+    def sorted_lead(self, vs):
+        out = np.zeros_like(vs)
+        out[1:] = np.cumsum(self._gap * np.cumsum(vs[:-1], axis=0), axis=0)
+        return out
+
+    def shortfall(self, w):
+        return self.scatter(self.sorted_shortfall(self.gather(w)))
+
+    def weight_strictly_above(self, w):
+        ws = self.gather(w)
+        above = np.zeros_like(ws)
+        above[:-1] = self._weight_above(ws)
+        return self.scatter(np.take(above, self._run_end))
+
+
+def inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm, with_grad=True):
+    """`losses._inferiority_loss_grad` as it was on `RankMajorOrder`, with
+    q = 1 - (1-P)^k and q' = k (1-P)^(k-1) each from its own 1 - P."""
+    order = RankMajorOrder(S)
+    Ps = order.gather(P)
+    with np.errstate(over="ignore"):
+        q = 1.0 - (1.0 - Ps) ** int(k)
+    shortfall = order.sorted_shortfall(q)
+    measured = np.zeros(P.shape[0])
+    measured[f_rows] = 1.0
+    if measured.all():
+        q_measured, own = q, shortfall
+    else:
+        measured = measured[order.users]
+        q_measured, own = q * measured, measured * shortfall
+    loss = float(np.sum(order.scatter(q_measured * shortfall)) / m_norm)
+    if not with_grad:
+        return loss, None
+    with np.errstate(over="ignore"):
+        qg = k * (1.0 - Ps) ** (int(k) - 1)
+    grad = qg * (own + order.sorted_lead(q_measured))
+    return loss, order.scatter(grad) / m_norm

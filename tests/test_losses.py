@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,128 @@ class TestInferiorityKernel:
         ref_loss, ref_grad = oracles.inferiority_loss_grad_dense(U, P, n, np.arange(m), m)
         np.testing.assert_allclose(bd.inferiority_loss, ref_loss, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(G, ref_grad, rtol=1e-12, atol=0.0)
+
+
+def assert_same_as_rank_major(order, S, P, k, f_rows, m_norm, with_grad=True):
+    """The item-major kernel on `order` gives the frozen rank-major kernel's bits."""
+    loss, grad = _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=order,
+                                        with_grad=with_grad)
+    ref_loss, ref_grad = oracles.inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm,
+                                                                  with_grad=with_grad)
+    assert loss == ref_loss
+    if with_grad:
+        np.testing.assert_array_equal(grad, ref_grad)
+    else:
+        assert grad is None
+
+
+class TestItemMajorOrder:
+    """The item-major order and kernel against the frozen rank-major ones
+    (`oracles.RankMajorOrder`), bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(1, 8), n=st.integers(1, 8), data=st.data())
+    def test_kernel_matches_rank_major(self, seed, m, n, data):
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(0.01, 0.99, (m, n))
+        if data.draw(st.booleans(), label="tied"):
+            S = np.round(S, 1)
+        k = data.draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]), label="k")
+        direct = data.draw(st.booleans(), label="direct")
+        P = rng.uniform(-0.5, 1.5, (m, n)) if direct else random_policy(rng, m, n)
+        f_rows = data.draw(st.one_of(
+            st.just([]), st.integers(0, m - 1).map(lambda i: [i]), st.just(list(range(m))),
+            st.sets(st.integers(0, m - 1)).map(sorted)), label="f_rows")
+        f_rows = np.array(f_rows, dtype=int)
+        m_norm = float(max(1, f_rows.size))
+        with_grad = data.draw(st.booleans(), label="with_grad")
+        order = SuitabilityOrder(S)
+        for _ in range(2):  # the second call reuses the workspace
+            assert_same_as_rank_major(order, S, P, k, f_rows, m_norm, with_grad)
+        assert_same_as_rank_major(None, S, P, k, f_rows, m_norm, with_grad)
+
+    @pytest.mark.parametrize("f_rows", [np.arange(200), np.arange(3, 200, 10), np.array([7])])
+    def test_kernel_matches_rank_major_at_200_by_1000(self, f_rows):
+        rng = np.random.default_rng(5)
+        S = np.round(rng.uniform(0.0, 1.0, (200, 1000)), 1)
+        P = random_policy(rng, 200, 1000)
+        order = SuitabilityOrder(S)
+        for k in (10, 1, 1000):
+            assert_same_as_rank_major(order, S, P, k, f_rows, 200)
+        assert_same_as_rank_major(order, S, P, 10, f_rows, 200, with_grad=False)
+
+    @given(seed=st.integers(0, 10**6), m=st.integers(1, 8), n=st.integers(1, 8),
+           tied=st.booleans(), binary=st.booleans())
+    def test_shortfall_and_rivals_match_rank_major(self, seed, m, n, tied, binary):
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(0.01, 0.99, (m, n))
+        if tied:
+            S = np.round(S, 1)
+        w = (rng.random((m, n)) < 0.5).astype(float) if binary else rng.uniform(-1, 2, (m, n))
+        order, ref = SuitabilityOrder(S), oracles.RankMajorOrder(S)
+        np.testing.assert_array_equal(order.shortfall(w), ref.shortfall(w))
+        np.testing.assert_array_equal(order.weight_strictly_above(w), ref.weight_strictly_above(w))
+
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1)])
+    def test_degenerate_shapes_match_rank_major(self, shape):
+        S, w = np.zeros(shape), np.ones(shape)
+        order, ref = SuitabilityOrder(S), oracles.RankMajorOrder(S)
+        np.testing.assert_array_equal(order.shortfall(w), ref.shortfall(w))
+        np.testing.assert_array_equal(order.weight_strictly_above(w), ref.weight_strictly_above(w))
+
+class TestKernelWorkspace:
+    """The kernel's per-order workspace carries nothing from one call to the next."""
+
+    def test_interleaved_orders(self):
+        rng = np.random.default_rng(11)
+        shapes = [(6, 9), (9, 6)]
+        S = [np.round(rng.uniform(0, 1, shape), 1) for shape in shapes]
+        orders = [SuitabilityOrder(s) for s in S]
+        for step in range(6):
+            for s, order in zip(S, orders):
+                m, n = s.shape
+                P = random_policy(rng, m, n) if step % 2 else rng.uniform(-0.5, 1.5, (m, n))
+                f_rows = np.arange(m) if step % 3 else np.array([step % m])
+                assert_same_as_rank_major(order, s, P, 1 + step % n, f_rows, m)
+
+    def test_one_order_with_changing_policy_and_k(self):
+        rng = np.random.default_rng(12)
+        S = np.round(rng.uniform(0, 1, (7, 11)), 1)
+        order = SuitabilityOrder(S)
+        for k in (11, 1, 4, 2, 11, 3):
+            P = random_policy(rng, 7, 11)
+            assert_same_as_rank_major(order, S, P, k, np.arange(7), 7)
+            assert_same_as_rank_major(order, S, P, k, np.array([1, 5]), 7, with_grad=k % 2 == 0)
+
+    def test_gradient_is_a_fresh_array(self):
+        rng = np.random.default_rng(13)
+        S, P = rng.uniform(0, 1, (8, 12)), random_policy(rng, 8, 12)
+        order = SuitabilityOrder(S)
+        loss, grad = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order)
+        assert grad.flags.c_contiguous and grad.shape == (8, 12)
+        assert not any(np.shares_memory(grad, buffer) for buffer in order._workspace)
+        expected = grad.copy()
+        grad[...] = np.nan
+        again_loss, again = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order)
+        assert again_loss == loss
+        np.testing.assert_array_equal(again, expected)
+        assert not np.shares_memory(again, grad)
+
+    def test_warm_call_allocates_only_its_gradient(self):
+        m, n = 200, 500
+        rng = np.random.default_rng(14)
+        S, P = rng.uniform(0, 1, (m, n)), random_policy(rng, m, n)
+        order = SuitabilityOrder(S)
+        everyone = np.arange(m)
+        _inferiority_loss_grad(S, P, 10, everyone, m, order=order)
+        tracemalloc.start()
+        try:
+            _inferiority_loss_grad(S, P, 10, everyone, m, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * m * n
 
 
 class TestPenaltyAndTotal:

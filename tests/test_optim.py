@@ -49,6 +49,22 @@ class TestScalingConfig:
         with pytest.raises(ValueError):
             Scaling(kind="item_sample", n_s=9).validate_dims(10, 5)
 
+    def test_dim_bounds_check_only_the_sizes_a_kind_reads(self):
+        pair = generate(GenSpec("user_groups", 8, 20, seed=3))
+        view = make_training_view(pair, Scaling("user_sample", m_s=5, n_s=30), 0, seed=1)
+        assert view.users.size == 5 and view.items.size == 20
+        config = TrainConfig(k=3, weights=LossWeights(1, 1, 1), max_steps=3,
+                             scaling=Scaling("minibatch", b=4, m_s=50))
+        assert fit(pair, config).step_count == 3
+        # a size the kind does read still raises
+        with pytest.raises(ValueError, match="user sample m_s=9 exceeds m=8"):
+            make_training_view(pair, Scaling("user_sample", m_s=9, n_s=30), 0, seed=1)
+        with pytest.raises(ValueError, match="batch size b=9 exceeds m=8"):
+            fit(pair, TrainConfig(k=3, weights=LossWeights(1, 1, 1),
+                                  scaling=Scaling("minibatch", b=9, n_s=1)))
+        with pytest.raises(ValueError, match="item sample n_s=21 exceeds n=20"):
+            Scaling("user_item_sample", m_s=2, n_s=21).validate_dims(8, 20)
+
 
 class TestTrainingView:
     def test_none_is_identity(self):
