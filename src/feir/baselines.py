@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountMatrix, Policy, ScorePair, row_softmax, top_k
+from .core import CountMatrix, Policy, ScorePair, _is_int, _is_real, row_softmax, top_k
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class CAConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.marginal_tol <= 0:
             raise ValueError("marginal_tol must be positive")
 
@@ -43,8 +43,8 @@ class RRConfig:
     exclusive: bool = True
 
     def __post_init__(self):
-        if not (0.0 <= self.tau < 1.0):
-            raise ValueError("tau must lie in [0, 1)")
+        if not (_is_real(self.tau) and 0.0 <= self.tau < 1.0):
+            raise ValueError(f"tau must be a number in [0, 1), got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,10 @@ def naive(scores: ScorePair, k: int) -> CountMatrix:
     return top_k(scores.U, k)
 
 
-def shuffle(scores: ScorePair, k: int, d: int | None = None, seed: int = 0) -> CountMatrix:
-    """Uniformly pick k of each user's top-d items (d defaults to 3k, capped at n)."""
+def shuffle(scores: ScorePair, k: int, d: int, seed: int = 0) -> CountMatrix:
+    """Uniformly pick k of each user's top-d items."""
     U = scores.U
     m, n = U.shape
-    if d is None:
-        d = min(3 * k, n)
     if not (k <= d <= n):
         raise ValueError(f"need k <= d <= n, got k={k}, d={d}, n={n}")
     pool = top_k(U, d).C

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -23,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import ScorePair, _replacing, load_scores, save_matrix, top_k, write_sidecar
+from .core import (ScorePair, _is_int, _is_real, _replacing, load_scores, save_matrix, top_k,
+                   write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -68,15 +68,6 @@ def _reject_unknown(what: str, cfg: dict, valid) -> None:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _settings_keys(cls, *run_owned) -> tuple:
     """The config keys of a settings dataclass: its fields, in order, less
     those the run sets itself."""
@@ -86,10 +77,9 @@ def _settings_keys(cls, *run_owned) -> tuple:
 # The keys of a run config; main also reads output_dir from it.
 TOP_LEVEL_KEYS = ("seed", "output_dir", "dataset", "ks", "methods")
 
-# The two dataset forms: score files, or a synthetic generator's GenSpec
-# (whose loc and scale stay at their defaults).
+# The two dataset forms: score files, or a synthetic generator's GenSpec.
 DATASET_FILE_KEYS = ("u_path", "s_path")
-DATASET_GEN_KEYS = _settings_keys(datagen.GenSpec, "loc", "scale")
+DATASET_GEN_KEYS = _settings_keys(datagen.GenSpec)
 
 # The keys of a report config and of each of its axes.
 REPORT_KEYS = ("axes",)
@@ -215,9 +205,9 @@ def _shuffle_runs(scores, cfg, k, naive_counts):
     d = cfg.get("d")
     if d is None:
         d = min(3 * k, scores.n)
-    elif d < 1:
-        raise ValueError(f"shuffle d must be >= 1, got {d}")
-    yield {"d": d}, lambda seed: (baselines.shuffle(scores, k, d=d, seed=seed), None)
+    elif not _is_int(d) or d < 1:
+        raise ValueError(f"shuffle d must be an integer >= 1, got {d!r}")
+    yield {"d": int(d)}, lambda seed: (baselines.shuffle(scores, k, d=d, seed=seed), None)
 
 
 def _ca_runs(scores, cfg, k, naive_counts):
@@ -284,14 +274,16 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     with an error status and the run continues. An unknown top-level key
     (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
     method name, a key its adapter does not read (see METHODS), an unknown
-    dataset key, an explicit k outside [1, n], a shuffle d below 1, or a
-    setting its dataclass rejects raises ValueError before anything is
-    solved or written. Without `ks`, the DEFAULT_KS up to n are run.
+    dataset key, an explicit k outside [1, n], a shuffle d that is not an
+    integer >= 1, or a setting its dataclass rejects raises ValueError
+    before anything is solved or written. Without `ks`, the DEFAULT_KS up to
+    n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
     if not _is_int(master_seed):
         raise ValueError(f"seed must be an integer, got {master_seed!r}")
+    master_seed = int(master_seed)
     ks = config.get("ks")
     if ks is not None and not (isinstance(ks, (list, tuple)) and all(_is_int(k) for k in ks)):
         raise ValueError(f"ks must be a list of integers, got {ks!r}")
@@ -310,7 +302,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
         outside = [k for k in ks if not 1 <= k <= scores.n]
         if outside:
             raise ValueError(f"ks {outside} outside [1, {scores.n}]")
-    ks = sorted(set(ks))
+    ks = sorted({int(k) for k in ks})
     if not ks:
         raise ValueError(f"no valid k for n={scores.n}")
     out_dir.mkdir(parents=True, exist_ok=True)

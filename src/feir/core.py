@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import secrets
 import warnings
@@ -316,6 +317,16 @@ def write_sidecar(matrix_path, m: int, n: int, k=None, seed=None, generator=None
     return meta_path
 
 
+def _is_int(value) -> bool:
+    """An integer setting: Python or numpy integers, but not bool, which
+    JSON true and false load as."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _frozen_copy(arr, dtype=float) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -326,13 +337,13 @@ def _frozen_copy(arr, dtype=float) -> np.ndarray:
 class ScorePair:
     """Utility matrix U (item value to each user) and suitability matrix S
     (user competitiveness for each item), both m x n with entries strictly
-    inside (0, 1). `shared` marks the common case S is U; when the same
-    array is passed for both, the pair holds one frozen copy of it.
+    inside (0, 1). When the same array is passed for both (as `single`
+    does), the pair holds one frozen copy of it and is `shared`; two arrays
+    stay two copies, even when they are equal.
     """
 
     U: np.ndarray
     S: np.ndarray
-    shared: bool = False
 
     def __post_init__(self):
         U = _frozen_copy(self.U)
@@ -349,15 +360,18 @@ class ScorePair:
                 raise ValueError(
                     f"{name}[{bad[0]},{bad[1]}] = {M[bad[0], bad[1]]} outside the open interval (0, 1)"
                 )
-        if self.shared and not np.array_equal(U, S):
-            raise ValueError("shared=True requires S and U to be element-wise equal")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "S", S)
 
     @classmethod
     def single(cls, scores) -> "ScorePair":
         """Build a pair where one matrix serves as both utility and suitability."""
-        return cls(U=scores, S=scores, shared=True)
+        return cls(U=scores, S=scores)
+
+    @property
+    def shared(self) -> bool:
+        """Whether one matrix serves as both utility and suitability."""
+        return self.S is self.U
 
     @property
     def m(self) -> int:
@@ -378,7 +392,7 @@ def load_scores(u_path, s_path=None, expected_dims=None) -> ScorePair:
     if s_path is None:
         return ScorePair.single(U)
     S = load_matrix(s_path, expected_dims)
-    return ScorePair(U=U, S=S, shared=False)
+    return ScorePair(U=U, S=S)
 
 
 @dataclass(frozen=True)

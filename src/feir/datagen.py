@@ -3,13 +3,13 @@ independent suitability/utility pair, and the structured scenarios where some
 items (or some users) score systematically higher.
 
 Scores come from a normal distribution truncated to the open interval (0, 1);
-the interval is what the scenario fixes, the moments are conventions and stay
-configurable. Unstructured families default to Normal(0.5, 0.25^2). The
-structured families default to a tighter within-group spread (0.1) so that a
-boost of +0.3 on the pre-truncation mean separates the advantaged group
-unambiguously; with the wide spread the groups blur together and the scenario
-loses its point. Sampling is by inverse CDF on seed-derived uniform streams,
-so every generator is a pure function of its GenSpec.
+the interval is what the scenario fixes, the moments are fixed conventions of
+each family (`BASE_LOC` and the scale in `FAMILIES`). Unstructured families
+use Normal(0.5, 0.25^2). The structured families use a tighter within-group
+spread (0.1) so that a boost of +0.3 on the pre-truncation mean separates the
+advantaged group unambiguously; with the wide spread the groups blur together
+and the scenario loses its point. Sampling is by inverse CDF on seed-derived
+uniform streams, so every generator is a pure function of its GenSpec.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import truncnorm
 
-from .core import ScorePair
+from .core import ScorePair, _is_int
 
-# family -> (default (m, n), None where both must be given; default scale;
-# the seed stream of U, then of S when S is drawn on its own)
+# family -> (default (m, n), None where both must be given; scale; the seed
+# stream of U, then of S when S is drawn on its own)
 FAMILIES = {
     "random": (None, 0.25, (0,)),
     "su_pair": ((50, 50), 0.25, (1, 2)),
@@ -42,34 +42,31 @@ class GenSpec:
     seed: int = 0
     group_fraction: float = 0.5
     group_boost: float = 0.3
-    loc: float = BASE_LOC
-    scale: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        # JSON true loads as bool, a subclass of int; numpy integers are accepted
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        dims, scale, _ = FAMILIES[self.family]
+        dims = FAMILIES[self.family][0]
         if self.m is None or self.n is None:
             if dims is None:
                 raise ValueError(f"family {self.family!r} needs explicit m and n")
             object.__setattr__(self, "m", dims[0] if self.m is None else self.m)
             object.__setattr__(self, "n", dims[1] if self.n is None else self.n)
-        if self.scale is None:
-            object.__setattr__(self, "scale", scale)
+        for name in ("m", "n", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 2 or self.n < 2:
             raise ValueError("need m >= 2 and n >= 2")
         if not (0.0 < self.group_fraction < 1.0):
             raise ValueError("group_fraction must lie in (0, 1)")
         if self.group_boost <= 0.0:
             raise ValueError("group_boost must be positive")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
 
     def label(self) -> str:
-        base = f"{self.family}(m={self.m},n={self.n},seed={self.seed},loc={self.loc},scale={self.scale}"
+        scale = FAMILIES[self.family][1]
+        base = f"{self.family}(m={self.m},n={self.n},seed={self.seed},loc={BASE_LOC},scale={scale}"
         if self.family in ("item_groups", "user_groups"):
             base += f",fraction={self.group_fraction},boost={self.group_boost}"
         return base + ")"
@@ -124,16 +121,17 @@ def generate(spec: GenSpec) -> ScorePair:
     the same items. user_groups: the boosted rows get it, putting the rest at
     a blanket disadvantage. The groups share U and S.
     """
-    loc = spec.loc
+    _, scale, streams = FAMILIES[spec.family]
+    loc = BASE_LOC
     if spec.family == "item_groups":
-        loc = np.full((1, spec.n), spec.loc)
+        loc = np.full((1, spec.n), BASE_LOC)
         loc[0, boosted_cols(spec)] += spec.group_boost
     elif spec.family == "user_groups":
-        loc = np.full((spec.m, 1), spec.loc)
+        loc = np.full((spec.m, 1), BASE_LOC)
         loc[boosted_rows(spec), 0] += spec.group_boost
-    matrices = [_truncated_normal((spec.m, spec.n), [spec.seed, stream], loc, spec.scale)
-                for stream in FAMILIES[spec.family][2]]
+    matrices = [_truncated_normal((spec.m, spec.n), [spec.seed, stream], loc, scale)
+                for stream in streams]
     if len(matrices) == 1:
         return ScorePair.single(matrices[0])
     U, S = matrices
-    return ScorePair(U=U, S=S, shared=False)
+    return ScorePair(U=U, S=S)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import CountMatrix, DimensionError
-from .losses import SuitabilityOrder, pair_envy_matrix
+from .losses import SuitabilityOrder, _envy_loss_grad
 
 
 def _counts(C) -> np.ndarray:
@@ -92,7 +92,6 @@ class SystemMetrics:
     envy: float
     inferiority: float
     overall_fairness: float
-    k: int
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,14 @@ class CompetitionMetrics:
 class NormalizedMetrics:
     """Ratios against the naive recommendation at the same k.
 
-    Envy stays raw because the naive baseline has zero envy by construction.
+    Envy has no ratio, since the naive baseline has zero envy by construction;
+    it is reported raw, as `SystemMetrics.envy`.
     A ratio is None (absent, never infinite) when the naive denominator is 0.
     """
 
     utility_norm: float | None
     inferiority_norm: float | None
     overall_norm: float | None
-    envy: float
 
 
 def user_utility(i: int, U, C) -> float:
@@ -154,7 +153,8 @@ def system_metrics(U, S, C, picks: _Picks | None = None) -> SystemMetrics:
 
     Utility is the per-user mean. Envy sums max(0, pairwise envy) and
     inferiority sums all pairwise deficits, each over ordered user pairs and
-    divided by the number of users m, never by the number of pairs. Both
+    divided by the number of users m, never by the number of pairs. Envy is
+    the training envy loss (`_envy_loss_grad`) of the lists themselves. Both
     pair sums are taken from the lists' picks (`_picks`), so the cost grows
     with the m*k recommended entries, not with m*n; a caller that already
     holds `_picks(S, C)` passes it to skip rebuilding it.
@@ -167,21 +167,18 @@ def system_metrics(U, S, C, picks: _Picks | None = None) -> SystemMetrics:
     row_sums = C.sum(axis=1)
     if np.any(row_sums != row_sums[0]):
         raise ValueError("count matrix rows must all sum to the same k")
-    k = int(row_sums[0])
     m = U.shape[0]
     if picks is None:
         picks = _picks(S, C)
 
     utility = float(np.sum(U * C) / m)
-    E = pair_envy_matrix(U, picks.lists, 1)
-    envy = float(np.sum(np.maximum(0.0, E)) / m)
+    envy, _ = _envy_loss_grad(U, picks.lists, 1, m, with_grad=False)
     inferiority = float(np.sum(picks.per_user(picks.shortfall)) / m)
     return SystemMetrics(
         utility=utility,
         envy=envy,
         inferiority=inferiority,
         overall_fairness=envy + inferiority,
-        k=k,
     )
 
 
@@ -209,7 +206,6 @@ def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> 
         utility_norm=ratio(metrics.utility, naive_metrics.utility),
         inferiority_norm=ratio(metrics.inferiority, naive_metrics.inferiority),
         overall_norm=ratio(metrics.overall_fairness, naive_metrics.overall_fairness),
-        envy=metrics.envy,
     )
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DimensionError, Policy, ScorePair, row_softmax
+from .core import DimensionError, Policy, ScorePair, _is_int, row_softmax
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -68,8 +68,9 @@ class Scaling:
             raise ValueError(f"unknown scaling kind {self.kind!r}")
         for name in SCALING_KINDS[self.kind]:
             value = getattr(self, name)
-            if value is None or value < 1:
-                raise ValueError(f"scaling {self.kind!r} requires {name} >= 1")
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"scaling {self.kind!r} requires an integer {name} >= 1, "
+                                 f"got {value!r}")
 
     def validate_dims(self, m: int, n: int) -> None:
         """Reject a size this kind reads that exceeds the instance; a size
@@ -156,8 +157,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not _is_int(self.max_steps) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
         if self.parametrization not in PARAMETRIZATIONS:
@@ -309,11 +310,9 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     the relative total-loss change over a 10-step window drops below
     convergence_tol, or at max_steps.
     """
-    U, S = scores.U, scores.S
-    m, n = scores.m, scores.n
+    U, S, n = scores.U, scores.S, scores.n
     if not (1 <= config.k <= n):
         raise ValueError(f"k={config.k} outside [1, {n}]")
-    config.scaling.validate_dims(m, n)
     logits_mode = config.parametrization == "logits"
     params = U.copy() if logits_mode else row_softmax(U)
 

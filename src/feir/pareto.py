@@ -69,29 +69,19 @@ def make_solution(
     """Evaluate a realized recommendation into a SolutionPoint.
 
     The lists' picks, with each pick's deficit and rival count, are built
-    once and shared by the system and competition metrics.
+    once and shared by the system and competition metrics. A list whose
+    length is not k raises ValueError.
     """
     picks = _picks(scores.S, counts)
+    sizes = picks.per_user(picks.lists.data)
+    if np.any(sizes != k):
+        raise ValueError(f"k={k}, but the lists hold {sizes.min():g} to {sizes.max():g} items")
     sys = system_metrics(scores.U, scores.S, counts, picks=picks)
     norm = normalized_metrics(sys, naive_system)
     comp = competition_metrics(scores.S, counts, k, picks=picks)
-    return SolutionPoint(
-        method=method,
-        params=params,
-        k=k,
-        seed=seed,
-        utility=sys.utility,
-        envy=sys.envy,
-        inferiority=sys.inferiority,
-        overall_fairness=sys.overall_fairness,
-        utility_norm=norm.utility_norm,
-        inferiority_norm=norm.inferiority_norm,
-        overall_norm=norm.overall_norm,
-        mean_rank=comp.mean_rank,
-        mean_gap=comp.mean_gap,
-        gini=gini_index(counts),
-        status="ok",
-    )
+    return SolutionPoint(method, params, k, seed, **vars(sys), **vars(norm),
+                         mean_rank=comp.mean_rank, mean_gap=comp.mean_gap,
+                         gini=gini_index(counts))
 
 
 @dataclass(frozen=True)

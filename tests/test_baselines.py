@@ -62,11 +62,6 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle(pair, 2, d=1)
 
-    def test_default_d_is_three_k_capped(self):
-        pair = ScorePair(U=INTRO_U, S=INTRO_S)
-        C = shuffle(pair, 1, seed=0)  # d defaults to min(3, 3)
-        assert (C.C.sum(axis=1) == 1).all()
-
     def test_full_pool_is_uniform(self):
         # d = n, k = 1: item marginals should be uniform across seeds
         rng = np.random.default_rng(2)

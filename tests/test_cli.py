@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from feir.cli import (
     main,
 )
 from feir.core import load_matrix, save_matrix, top_k
+from feir.datagen import GenSpec
 from feir.optim import Scaling, TrainConfig
 
 
@@ -77,6 +79,13 @@ class TestGenerate:
         first = cmd_generate(config, tmp_path / "a")[0].read_bytes()
         second = cmd_generate(config, tmp_path / "b")[0].read_bytes()
         assert first == second
+
+    def test_numpy_integer_seed_writes_a_plain_sidecar(self, tmp_path):
+        def written(seed, out):
+            paths = cmd_generate({"seed": seed, "dataset": {"family": "su_pair", "m": 4}}, out)
+            return [(p.read_bytes(), p.with_suffix(".meta.json").read_bytes()) for p in paths]
+
+        assert written(np.int64(7), tmp_path / "numpy") == written(7, tmp_path / "int")
 
     @pytest.mark.parametrize("seed", ["7", True, 1.5])
     def test_dataset_seed_must_be_an_integer(self, tmp_path, seed):
@@ -429,6 +438,49 @@ class TestRun:
         config["methods"][method] = fixed
         rows = read_rows(cmd_run(config, out))
         assert [r["status"] for r in rows] == ["ok"] * 3
+
+    @pytest.mark.parametrize("section, bad, message", [
+        ("feir", {"max_steps": 3.5}, r"max_steps must be an integer >= 1, got 3\.5"),
+        ("feir", {"max_steps": True}, r"max_steps must be an integer >= 1, got True"),
+        ("feir", {"scaling": {"kind": "minibatch", "b": 2.5}},
+         r"scaling 'minibatch' requires an integer b >= 1, got 2\.5"),
+        ("ca", {"max_iters": 5.5}, r"max_iters must be an integer >= 1, got 5\.5"),
+        ("shuffle", {"d": 2.5}, r"shuffle d must be an integer >= 1, got 2\.5"),
+        ("rr", {"tau": "0.3"}, r"tau must be a number in \[0, 1\), got '0\.3'"),
+        ("dataset", {"m": 6.0}, r"m must be an integer, got 6\.0"),
+        ("dataset", {"n": "8"}, r"n must be an integer, got '8'"),
+    ], ids=["max_steps_float", "max_steps_bool", "scaling_b_float", "ca_max_iters_float",
+            "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str"])
+    def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
+                                                       bad, message):
+        fits = []
+        monkeypatch.setattr(feir.cli, "fit", lambda *a: fits.append(a))
+        config = {"dataset": {"family": "random", "m": 6, "n": 8}, "ks": [2],
+                  "methods": {"naive": {}, "feir": {"weight_grid": [[0, 1, 1, 0]]}}}
+        target = config if section == "dataset" else config["methods"]
+        target[section] = {**target.get(section, {}), **bad}
+        with pytest.raises(ValueError, match=message):
+            cmd_run(config, tmp_path / "out")
+        assert fits == []
+        assert not (tmp_path / "out" / "solutions.csv").exists()
+
+    def test_numpy_integer_settings_run_as_python_ints(self, tmp_path):
+        def config(i):
+            return {"seed": i(2), "dataset": {"family": "random", "m": i(6), "n": 8},
+                    "ks": [i(1), i(2)], "methods": {"naive": {}, "shuffle": {"d": i(3)}}}
+
+        expected = cmd_run(config(int), tmp_path / "int").read_bytes()
+        assert cmd_run(config(np.int64), tmp_path / "numpy").read_bytes() == expected
+
+    def test_shuffle_default_d_is_three_k_capped(self, tmp_path):
+        config = {"dataset": {"family": "random", "m": 6, "n": 8}, "ks": [1, 2, 3],
+                  "methods": {"shuffle": {}}}
+        rows = read_rows(cmd_run(config, tmp_path / "out"))
+        assert [(r["k"], r["d"], r["status"]) for r in rows] == [
+            ("1", "3", "ok"), ("2", "6", "ok"), ("3", "8", "ok")]
+
+    def test_dataset_keys_are_the_genspec_fields(self):
+        assert feir.cli.DATASET_GEN_KEYS == tuple(f.name for f in fields(GenSpec))
 
     def test_baseline_defaults_come_from_their_dataclasses(self, tmp_path, intro_dataset,
                                                            monkeypatch):

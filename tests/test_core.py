@@ -330,11 +330,14 @@ class TestScorePair:
 
     def test_one_array_for_both_roles(self, tmp_path):
         save_matrix(INTRO_U, tmp_path / "u.csv")
-        for pair in (ScorePair.single(INTRO_U), load_scores(tmp_path / "u.csv")):
-            assert pair.U is pair.S and not np.shares_memory(pair.U, INTRO_U)
+        pairs = (ScorePair.single(INTRO_U), ScorePair(INTRO_U, INTRO_U),
+                 load_scores(tmp_path / "u.csv"))
+        for pair in pairs:
+            assert pair.shared and pair.U is pair.S and not pair.U.flags.writeable
+            assert not np.shares_memory(pair.U, INTRO_U)
         # two arrays keep two copies, even when they are equal
-        pair = ScorePair(U=INTRO_U, S=INTRO_U.copy(), shared=True)
-        assert not np.shares_memory(pair.U, pair.S)
+        pair = ScorePair(U=INTRO_U, S=INTRO_U.copy())
+        assert not pair.shared and not np.shares_memory(pair.U, pair.S)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -345,10 +348,6 @@ class TestScorePair:
         bad[0, 0] = 1.0
         with pytest.raises(ValueError):
             ScorePair.single(bad)
-
-    def test_shared_flag_requires_equality(self):
-        with pytest.raises(ValueError):
-            ScorePair(U=INTRO_U, S=INTRO_U * 0.5, shared=True)
 
     def test_arrays_frozen(self):
         pair = ScorePair.single(INTRO_U)

@@ -8,6 +8,7 @@ from scipy.stats import truncnorm
 import feir.datagen
 from feir.core import top_k
 from feir.datagen import (
+    BASE_LOC,
     FAMILIES,
     GenSpec,
     boosted_cols,
@@ -29,8 +30,6 @@ class TestGenSpec:
     def test_structured_defaults(self):
         spec = GenSpec(family="user_groups")
         assert (spec.m, spec.n) == (20, 100)
-        assert spec.scale == 0.1
-        assert GenSpec(family="su_pair").scale == 0.25
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -41,8 +40,24 @@ class TestGenSpec:
         np.testing.assert_array_equal(generate(spec).U, generate(GenSpec("random", 4, 5, 3)).U)
 
     def test_label_mentions_construction(self):
-        label = GenSpec(family="item_groups", seed=3).label()
-        assert "item_groups" in label and "boost=0.3" in label
+        # the label is the sidecars' generator string, so its bytes are pinned
+        cases = [
+            (GenSpec("su_pair"), "su_pair(m=50,n=50,seed=0,loc=0.5,scale=0.25)"),
+            (GenSpec("item_groups"),
+             "item_groups(m=20,n=100,seed=0,loc=0.5,scale=0.1,fraction=0.5,boost=0.3)"),
+            (GenSpec("user_groups"),
+             "user_groups(m=20,n=100,seed=0,loc=0.5,scale=0.1,fraction=0.5,boost=0.3)"),
+            (GenSpec("random", 30, 40, seed=5), "random(m=30,n=40,seed=5,loc=0.5,scale=0.25)"),
+            (GenSpec("user_groups", np.int64(8), 12, seed=np.int64(3)),
+             "user_groups(m=8,n=12,seed=3,loc=0.5,scale=0.1,fraction=0.5,boost=0.3)"),
+        ]
+        assert [spec.label() for spec, _ in cases] == [label for _, label in cases]
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 4.0), ("n", "6"), ("m", True), ("seed", 1.5)])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            GenSpec("random", **{"m": 4, "n": 6, field: value})
 
 
 class TestRandom:
@@ -59,8 +74,9 @@ class TestRandom:
     def test_sample_mean_matches_truncated_normal(self):
         spec = GenSpec(family="random", m=100, n=100, seed=5)
         pair = generate(spec)
-        a, b = (0 - spec.loc) / spec.scale, (1 - spec.loc) / spec.scale
-        mean, var = truncnorm.stats(a, b, loc=spec.loc, scale=spec.scale, moments="mv")
+        loc, scale = BASE_LOC, FAMILIES["random"][1]
+        a, b = (0 - loc) / scale, (1 - loc) / scale
+        mean, var = truncnorm.stats(a, b, loc=loc, scale=scale, moments="mv")
         se = np.sqrt(float(var) / pair.U.size)
         assert abs(pair.U.mean() - float(mean)) < 4 * se
 

@@ -165,7 +165,6 @@ class TestNormalized:
         norm = normalized_metrics(naive_sys, naive_sys)
         assert norm.inferiority_norm is None
         assert norm.overall_norm is None
-        assert norm.envy == 0.0
 
 
 class TestCompetition:
@@ -317,7 +316,7 @@ class TestPickPath:
         U, S, _ = tied_instance(3, 3, 4)
         C = np.zeros((3, 4), dtype=int)
         sys = system_metrics(U, S, C)
-        assert (sys.utility, sys.envy, sys.inferiority, sys.k) == (0.0, 0.0, 0.0, 0)
+        assert (sys.utility, sys.envy, sys.inferiority) == (0.0, 0.0, 0.0)
         assert inferiority_by_user(S, C).tolist() == [0.0, 0.0, 0.0]
         comp = competition_metrics(S, C, 1)
         assert comp.mean_rank == 0.0 and comp.mean_gap == 0.0

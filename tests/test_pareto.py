@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import feir.pareto
 import oracles
 from feir.core import DimensionError, ScorePair, top_k
+from feir.datagen import GenSpec, generate
 from feir.metrics import competition_metrics, gini_index, normalized_metrics, system_metrics
 from feir.pareto import (
     METRIC_FIELDS,
@@ -209,6 +210,17 @@ class TestSolutionConstruction:
         counts = top_k(np.random.default_rng(1).uniform(size=shape), 2)
         with pytest.raises(DimensionError):
             make_solution("x", {}, 2, 0, pair, counts, naive_sys)
+
+    def test_k_that_disagrees_with_the_lists_rejected(self):
+        pair = generate(GenSpec("user_groups", 20, 100, seed=7))
+        naive_sys = system_metrics(pair.U, pair.S, top_k(pair.U, 10))
+        counts = top_k(pair.U, 10)
+        assert make_solution("naive", {}, 10, 0, pair, counts, naive_sys).mean_rank > 0
+        with pytest.raises(ValueError, match=r"k=5, but the lists hold 10 to 10 items"):
+            make_solution("naive", {}, 5, 0, pair, counts, naive_sys)
+        # a shape mismatch is reported first
+        with pytest.raises(DimensionError):
+            make_solution("naive", {}, 5, 0, pair, top_k(pair.U[:, :50], 10), naive_sys)
 
     def test_failed_solution_has_no_metrics(self):
         p = SolutionPoint("feir", {"w1": 1.0}, 5, 0, status="error: nope")
