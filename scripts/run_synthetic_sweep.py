@@ -22,7 +22,7 @@ def experiment_config(family: str, seed: int) -> dict:
         "ks": [10],
         "methods": {
             "naive": {},
-            "feir": {"learning_rate": 10.0, "max_steps": 2000, "convergence_tol": 1e-6},
+            "feir": {},
             "shuffle": {},
             "ca": {"epsilons": [0.0003, 0.001, 0.003, 0.01, 0.03, 0.1]},
             # exclusive allocation needs m*k <= n, and at k=10 every family

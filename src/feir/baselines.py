@@ -25,12 +25,13 @@ class CAConfig:
     marginal_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (_is_real(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.marginal_tol <= 0:
-            raise ValueError("marginal_tol must be positive")
+        if not (_is_real(self.marginal_tol) and self.marginal_tol > 0):
+            raise ValueError(f"marginal_tol must be a positive number, got {self.marginal_tol!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))  # 1 and 1.0: one row key
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class RRConfig:
     def __post_init__(self):
         if not (_is_real(self.tau) and 0.0 <= self.tau < 1.0):
             raise ValueError(f"tau must be a number in [0, 1), got {self.tau!r}")
+        if not isinstance(self.exclusive, bool):
+            raise ValueError(f"exclusive must be true or false, got {self.exclusive!r}")
+        object.__setattr__(self, "tau", float(self.tau))  # 0 and 0.0: one row key
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,12 @@ def congestion_alleviation(
     in L1. The dual value recorded per sweep is the standard Sinkhorn ascent
     objective and is non-decreasing; the primal entropic objective of the
     iterates is reported in the diagnostics but is not monotone in general.
+    A k outside [1, n] raises ValueError before the first sweep.
     """
     U = scores.U
     m, n = U.shape
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} outside [1, {n}]")
     P0 = row_softmax(U)
     eps = config.epsilon
     a = np.ones(m)
@@ -146,7 +153,7 @@ def congestion_alleviation(
         )
     entropy = -np.sum(np.where(Q > 0.0, Q * (logQ - 1.0), 0.0))
     objective = float(np.sum(Q * P0) + eps * entropy)
-    policy = Policy(P=Q, k=k)
+    policy = Policy(P=Q)
     if return_info:
         info = CAInfo(
             sweeps=sweeps,

@@ -29,10 +29,7 @@ from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
 PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
 KEY_COLUMNS = ["method", *PARAM_COLUMNS, "k", "seed"]
-METRIC_COLUMNS = [
-    "utility", "utility_norm", "envy", "inferiority", "inferiority_norm",
-    "overall_norm", "mean_rank", "mean_gap", "gini",
-]
+METRIC_COLUMNS = [f for f in pareto.METRIC_FIELDS if f != "overall_fairness"]
 SOLUTION_COLUMNS = [*KEY_COLUMNS, *METRIC_COLUMNS, "status"]
 
 DEFAULT_KS = [1, 5, 10, 20, 50, 100]
@@ -91,12 +88,10 @@ def _dataset_scores(config: dict) -> ScorePair:
     if "u_path" not in ds:
         return datagen.generate(_gen_spec(config))
     _reject_unknown("dataset", ds, DATASET_FILE_KEYS)
-    u_path = Path(ds["u_path"])
-    if not u_path.exists():
-        raise FileNotFoundError(f"dataset file {u_path} does not exist")
-    s_path = ds.get("s_path")
-    if s_path is not None and not Path(s_path).exists():
-        raise FileNotFoundError(f"dataset file {s_path} does not exist")
+    u_path, s_path = ds["u_path"], ds.get("s_path")
+    for path in (u_path, s_path):
+        if path is not None and not Path(path).exists():
+            raise FileNotFoundError(f"dataset file {path} does not exist")
     return load_scores(u_path, s_path)
 
 
@@ -119,15 +114,11 @@ def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     scores = datagen.generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    u_path = out_dir / f"{spec.family}_U.csv"
-    save_matrix(scores.U, u_path)
-    write_sidecar(u_path, scores.m, scores.n, seed=spec.seed, generator=spec.label())
-    written.append(u_path)
-    if not scores.shared:
-        s_path = out_dir / f"{spec.family}_S.csv"
-        save_matrix(scores.S, s_path)
-        write_sidecar(s_path, scores.m, scores.n, seed=spec.seed, generator=spec.label())
-        written.append(s_path)
+    for name, M in (("U", scores.U), ("S", scores.S))[:1 if scores.shared else 2]:
+        path = out_dir / f"{spec.family}_{name}.csv"
+        save_matrix(M, path)
+        write_sidecar(path, scores.m, scores.n, seed=spec.seed, generator=spec.label())
+        written.append(path)
     return written
 
 
@@ -187,9 +178,7 @@ def _feir_runs(scores, cfg, k, naive_counts):
         _reject_unknown("feir scaling", settings["scaling"], _settings_keys(Scaling))
         settings["scaling"] = Scaling(**settings["scaling"])
     grid_cfg = cfg.get("weight_grid")
-    # weights are cast to float so that 1 and 1.0 derive the same seed and row key
-    grid = ([LossWeights(*map(float, w)) for w in grid_cfg] if grid_cfg is not None
-            else default_weight_grid())
+    grid = [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
     if not grid:
         raise ValueError("feir weight_grid must be non-empty")
     base = TrainConfig(k=k, weights=grid[0], **settings)
@@ -212,7 +201,7 @@ def _shuffle_runs(scores, cfg, k, naive_counts):
 
 def _ca_runs(scores, cfg, k, naive_counts):
     settings = {key: value for key, value in cfg.items() if key != "epsilons"}
-    epsilons = map(float, cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]))
+    epsilons = cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])
     ca_cfgs = [baselines.CAConfig(epsilon=eps, **settings) for eps in epsilons]
     for ca_cfg in ca_cfgs:
         def solve(seed, ca_cfg=ca_cfg):
@@ -228,7 +217,7 @@ def _rr_runs(scores, cfg, k, naive_counts):
     def solve(seed):
         return baselines.round_robin(scores.U, scores.S, k, replace(rr_cfg, seed=seed)), None
 
-    yield {"tau": float(rr_cfg.tau)}, solve
+    yield {"tau": rr_cfg.tau}, solve
 
 
 # Method name -> (adapter, the config keys it reads), in run order. An
@@ -275,9 +264,10 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
     method name, a key its adapter does not read (see METHODS), an unknown
     dataset key, an explicit k outside [1, n], a shuffle d that is not an
-    integer >= 1, or a setting its dataclass rejects raises ValueError
-    before anything is solved or written. Without `ks`, the DEFAULT_KS up to
-    n are run.
+    integer >= 1, or a setting its dataclass rejects (a non-number real
+    setting, a non-bool RR exclusive, a scaling size its kind does not read)
+    raises ValueError before anything is solved or written. Without `ks`,
+    the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -312,7 +302,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     save_dir = out_dir / "matrices" if save_matrices else None
 
     for k in ks:
-        naive_counts = top_k(scores.U, k)
+        naive_counts = baselines.naive(scores, k)
         naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
         # every adapter builds its settings before the first solve at this k
         runs = [(method, params, solve)

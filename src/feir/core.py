@@ -397,11 +397,10 @@ def load_scores(u_path, s_path=None, expected_dims=None) -> ScorePair:
 
 @dataclass(frozen=True)
 class Policy:
-    """Row-stochastic m x n matrix of recommendation probabilities plus the
-    list length k. Row i is the parameter vector of user i's multinomial."""
+    """Row-stochastic m x n matrix of recommendation probabilities: row i is
+    user i's multinomial parameter vector. The list length k is the caller's."""
 
     P: np.ndarray
-    k: int
 
     def __post_init__(self):
         P = _frozen_copy(self.P)
@@ -417,8 +416,6 @@ class Policy:
             raise ValueError(
                 f"row {worst} sums to {row_sums[worst]!r}, not 1 within {ROW_SUM_TOL}"
             )
-        if not (1 <= self.k <= P.shape[1]):
-            raise ValueError(f"k={self.k} outside [1, {P.shape[1]}]")
         object.__setattr__(self, "P", P)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import truncnorm
 
-from .core import ScorePair, _is_int
+from .core import ScorePair, _is_int, _is_real
 
 # family -> (default (m, n), None where both must be given; scale; the seed
 # stream of U, then of S when S is drawn on its own)
@@ -59,10 +59,10 @@ class GenSpec:
             object.__setattr__(self, name, int(value))
         if self.m < 2 or self.n < 2:
             raise ValueError("need m >= 2 and n >= 2")
-        if not (0.0 < self.group_fraction < 1.0):
-            raise ValueError("group_fraction must lie in (0, 1)")
-        if self.group_boost <= 0.0:
-            raise ValueError("group_boost must be positive")
+        if not (_is_real(self.group_fraction) and 0.0 < self.group_fraction < 1.0):
+            raise ValueError(f"group_fraction must be a number in (0, 1), got {self.group_fraction!r}")
+        if not (_is_real(self.group_boost) and self.group_boost > 0.0):
+            raise ValueError(f"group_boost must be a positive number, got {self.group_boost!r}")
 
     def label(self) -> str:
         scale = FAMILIES[self.family][1]

@@ -24,10 +24,12 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .core import _is_real
+
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights (envy, inferiority, negative utility, simplex penalty)."""
+    """Term weights (envy, inferiority, negative utility, simplex penalty), held as floats."""
 
     w1: float
     w2: float
@@ -35,8 +37,11 @@ class LossWeights:
     w4: float = 0.0
 
     def __post_init__(self):
-        if min(self.w1, self.w2, self.w3, self.w4) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if not (_is_real(w) and w >= 0):
+                raise ValueError(f"loss weight {f.name} must be a number >= 0, got {w!r}")
+            object.__setattr__(self, f.name, float(w))  # 1 and 1.0: one row key
         if self.w1 == self.w2 == self.w3 == 0:
             raise ValueError("at least one of the envy/inferiority/utility weights must be positive")
 
@@ -348,7 +353,6 @@ class MCEstimate:
     envy_se: np.ndarray
     inferiority_mean: np.ndarray
     inferiority_se: np.ndarray
-    samples: int
 
 
 def mc_estimate(U, S, P, k: int, samples: int, seed: int = 0) -> MCEstimate:
@@ -398,5 +402,4 @@ def mc_estimate(U, S, P, k: int, samples: int, seed: int = 0) -> MCEstimate:
         envy_se=envy_se,
         inferiority_mean=inf_mean,
         inferiority_se=inf_se,
-        samples=samples,
     )

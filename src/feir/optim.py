@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DimensionError, Policy, ScorePair, _is_int, row_softmax
+from .core import DimensionError, Policy, ScorePair, _is_int, _is_real, row_softmax
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -55,7 +55,8 @@ class Scaling:
     side of the inferiority pair sum to b users per step (everything else
     stays global); the batches partition the users anew each epoch.
     "user_sample"/"item_sample"/"user_item_sample" restrict every loss term to
-    a fresh random subset each step.
+    a fresh random subset each step. A size that its kind does not read (see
+    SCALING_KINDS) must be left None.
     """
 
     kind: str = "none"
@@ -66,15 +67,17 @@ class Scaling:
     def __post_init__(self):
         if self.kind not in SCALING_KINDS:
             raise ValueError(f"unknown scaling kind {self.kind!r}")
-        for name in SCALING_KINDS[self.kind]:
+        reads = SCALING_KINDS[self.kind]
+        for name in ("b", "m_s", "n_s"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if name in reads and (not _is_int(value) or value < 1):
                 raise ValueError(f"scaling {self.kind!r} requires an integer {name} >= 1, "
                                  f"got {value!r}")
+            if name not in reads and value is not None:
+                raise ValueError(f"scaling {self.kind!r} does not read {name}, got {value!r}")
 
     def validate_dims(self, m: int, n: int) -> None:
-        """Reject a size this kind reads that exceeds the instance; a size
-        the kind never reads is not checked."""
+        """Reject a size this kind reads that exceeds the instance."""
         limits = {"b": ("batch size", "m", m), "m_s": ("user sample", "m", m),
                   "n_s": ("item sample", "n", n)}
         for name in SCALING_KINDS[self.kind]:
@@ -155,12 +158,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (_is_real(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
         if not _is_int(self.max_steps) or self.max_steps < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
+        if not (_is_real(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ValueError(f"convergence_tol must be a number >= 0, got {self.convergence_tol!r}")
         if self.parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
 
@@ -332,7 +335,7 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     wall = time.perf_counter() - start
 
     P_final = row_softmax(params) if logits_mode else _project_rows(params)
-    return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final, k=config.k), wall_time=wall)
+    return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final), wall_time=wall)
 
 
 def default_weight_grid() -> list[LossWeights]:

@@ -33,11 +33,11 @@ class SolutionPoint:
     k: int
     seed: int
     utility: float | None = None
+    utility_norm: float | None = None
     envy: float | None = None
     inferiority: float | None = None
-    overall_fairness: float | None = None
-    utility_norm: float | None = None
     inferiority_norm: float | None = None
+    overall_fairness: float | None = None
     overall_norm: float | None = None
     mean_rank: float | None = None
     mean_gap: float | None = None

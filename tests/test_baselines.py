@@ -113,6 +113,14 @@ class TestCongestionAlleviation:
             congestion_alleviation(pair, 2, CAConfig(epsilon=0.0001, max_iters=1))
         assert exc.value.residual > 0
 
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_outside_range_raises_before_first_sweep(self, k):
+        # one sweep cannot converge here: a late k check would raise SinkhornError
+        rng = np.random.default_rng(6)
+        pair = ScorePair.single(rng.uniform(0.01, 0.99, (8, 5)))
+        with pytest.raises(ValueError, match=rf"k={k} outside \[1, 5\]"):
+            congestion_alleviation(pair, k, CAConfig(epsilon=0.0001, max_iters=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CAConfig(epsilon=0.0)
@@ -120,6 +128,16 @@ class TestCongestionAlleviation:
             CAConfig(epsilon=0.1, marginal_tol=0.0)
         with pytest.raises(ValueError, match="max_iters"):
             CAConfig(epsilon=0.1, max_iters=0)
+        for bad in ("0.1", True, None):
+            with pytest.raises(ValueError, match="epsilon must be a positive number"):
+                CAConfig(epsilon=bad)
+            with pytest.raises(ValueError, match="marginal_tol must be a positive number"):
+                CAConfig(epsilon=0.1, marginal_tol=bad)
+
+    def test_epsilon_is_held_as_a_float(self):
+        assert type(CAConfig(epsilon=1).epsilon) is float
+        assert CAConfig(epsilon=1) == CAConfig(epsilon=1.0)
+        assert type(CAConfig(epsilon=np.float32(0.5)).epsilon) is float
 
 
     @pytest.mark.parametrize("axis", [0, 1])
@@ -189,3 +207,9 @@ class TestRoundRobin:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             RRConfig(tau=1.0)
+        assert type(RRConfig(tau=0).tau) is float and RRConfig(tau=0) == RRConfig()
+
+    @pytest.mark.parametrize("exclusive", ["false", "true", 0, 1, None])
+    def test_exclusive_must_be_a_bool(self, exclusive):
+        with pytest.raises(ValueError, match="exclusive must be true or false"):
+            RRConfig(exclusive=exclusive)

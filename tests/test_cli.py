@@ -219,7 +219,10 @@ class TestRun:
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1],
                   "methods": {"ca": {"epsilons": []}}}
         path = cmd_run(config, tmp_path / "out")
-        assert path.read_text().splitlines() == [",".join(SOLUTION_COLUMNS)]
+        # the documented header, whose metric columns follow SolutionPoint's fields
+        assert path.read_text().splitlines() == [
+            "method,w1,w2,w3,w4,d,epsilon,tau,k,seed,utility,utility_norm,envy,inferiority,"
+            "inferiority_norm,overall_norm,mean_rank,mean_gap,gini,status"]
 
     def test_failures_become_rows(self, tmp_path, intro_dataset):
         # rr with m*k > n under exclusivity cannot allocate; a shuffle pool
@@ -294,6 +297,33 @@ class TestRun:
         config = {"dataset": {"u_path": str(tmp_path / "ghost.csv")}, "methods": {"naive": {}}}
         with pytest.raises(FileNotFoundError):
             cmd_run(config, tmp_path / "out")
+
+    def test_missing_suitability_file(self, tmp_path, intro_dataset):
+        config = {"dataset": {"u_path": str(intro_dataset), "s_path": str(tmp_path / "ghost.csv")},
+                  "methods": {"naive": {}}}
+        with pytest.raises(FileNotFoundError, match="ghost.csv does not exist"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family, files", [("su_pair", 2), ("user_groups", 1)])
+    def test_generated_files_run_as_their_generator(self, tmp_path, family, files):
+        dataset = {"family": family, "m": 12, "n": 30, "seed": 4}
+        paths = cmd_generate({"dataset": dataset}, tmp_path / "data")
+        assert len(paths) == files
+        run = {"seed": 3, "ks": [1, 2], "methods": {
+            "naive": {}, "shuffle": {}, "ca": {"epsilons": [0.05]}, "rr": {},
+            "feir": {"weight_grid": [[1, 1, 1, 0]], "max_steps": 50}}}
+        expected = cmd_run({**run, "dataset": dataset}, tmp_path / "generated").read_bytes()
+        from_files = {**run, "dataset": dict(zip(("u_path", "s_path"), map(str, paths)))}
+        solutions = cmd_run(from_files, tmp_path / "files")
+        assert solutions.read_bytes() == expected
+        assert [r["status"] for r in read_rows(solutions)] == ["ok"] * 10
+
+    def test_empty_ks_rejected(self, tmp_path, intro_dataset):
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [], "methods": {"naive": {}}}
+        with pytest.raises(ValueError, match="no valid k for n=3"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out" / "solutions.csv").exists()
 
     def test_save_matrices(self, tmp_path, intro_dataset):
         config = {
@@ -449,8 +479,35 @@ class TestRun:
         ("rr", {"tau": "0.3"}, r"tau must be a number in \[0, 1\), got '0\.3'"),
         ("dataset", {"m": 6.0}, r"m must be an integer, got 6\.0"),
         ("dataset", {"n": "8"}, r"n must be an integer, got '8'"),
+        # real-number settings are numbers, and neither strings nor bools
+        ("feir", {"learning_rate": "0.5"}, r"learning_rate must be a positive number, got '0\.5'"),
+        ("feir", {"learning_rate": True}, r"learning_rate must be a positive number, got True"),
+        ("feir", {"convergence_tol": "1e-6"},
+         r"convergence_tol must be a number >= 0, got '1e-6'"),
+        ("feir", {"weight_grid": [[True, 1, 1, 0]]},
+         r"loss weight w1 must be a number >= 0, got True"),
+        ("feir", {"weight_grid": [["1", 1, 1, 0]]},
+         r"loss weight w1 must be a number >= 0, got '1'"),
+        ("ca", {"marginal_tol": "1e-9"}, r"marginal_tol must be a positive number, got '1e-9'"),
+        ("ca", {"epsilons": ["0.1"]}, r"epsilon must be a positive number, got '0\.1'"),
+        ("ca", {"epsilons": [True]}, r"epsilon must be a positive number, got True"),
+        ("dataset", {"group_fraction": "0.5"},
+         r"group_fraction must be a number in \(0, 1\), got '0\.5'"),
+        ("dataset", {"group_boost": True}, r"group_boost must be a positive number, got True"),
+        # a scaling size that its kind does not read
+        ("feir", {"scaling": {"kind": "none", "b": 2.5}},
+         r"scaling 'none' does not read b, got 2\.5"),
+        ("feir", {"scaling": {"kind": "minibatch", "b": 2, "n_s": 999}},
+         r"scaling 'minibatch' does not read n_s, got 999"),
+        # RR exclusive is a bool, not a string or a number
+        ("rr", {"exclusive": "false"}, r"exclusive must be true or false, got 'false'"),
+        ("rr", {"exclusive": 0}, r"exclusive must be true or false, got 0"),
     ], ids=["max_steps_float", "max_steps_bool", "scaling_b_float", "ca_max_iters_float",
-            "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str"])
+            "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str",
+            "learning_rate_str", "learning_rate_bool", "convergence_tol_str", "weight_bool",
+            "weight_str", "ca_marginal_tol_str", "ca_epsilon_str", "ca_epsilon_bool",
+            "group_fraction_str", "group_boost_bool", "scaling_none_b", "scaling_minibatch_n_s",
+            "rr_exclusive_str", "rr_exclusive_int"])
     def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
                                                        bad, message):
         fits = []

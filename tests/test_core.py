@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -359,12 +360,14 @@ class TestPolicyAndCounts:
     def test_policy_row_sum_validation(self):
         P = np.array([[0.5, 0.5], [0.9, 0.2]])
         with pytest.raises(ValueError, match="sums to"):
-            Policy(P=P, k=1)
+            Policy(P=P)
 
-    def test_policy_k_bounds(self):
-        P = np.full((2, 3), 1 / 3)
-        with pytest.raises(ValueError):
-            Policy(P=P, k=4)
+    def test_policy_is_its_matrix(self):
+        policy = Policy(P=np.full((2, 3), 1 / 3))
+        assert [f.name for f in fields(Policy)] == ["P"]
+        assert policy.P.shape == (2, 3) and not policy.P.flags.writeable
+        with pytest.raises(TypeError):
+            Policy(P=policy.P, k=1)
 
     def test_count_row_sum_validation(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,13 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(family="item_groups", group_fraction=1.0)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_group_settings_must_be_numbers(self, bad):
+        with pytest.raises(ValueError, match="group_fraction must be a number in"):
+            GenSpec(family="item_groups", group_fraction=bad)
+        with pytest.raises(ValueError, match="group_boost must be a positive number"):
+            GenSpec(family="item_groups", group_boost=bad)
+
     def test_numpy_integer_seed_accepted(self):
         spec = GenSpec(family="random", m=4, n=5, seed=np.int64(3))
         np.testing.assert_array_equal(generate(spec).U, generate(GenSpec("random", 4, 5, 3)).U)

@@ -56,6 +56,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             LossWeights(0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", ["1", True, None, float("nan")])
+    def test_non_number_rejected(self, bad):
+        for i, name in enumerate(("w1", "w2", "w3", "w4")):
+            w = [1.0, 1.0, 1.0, 0.0]
+            w[i] = bad
+            with pytest.raises(ValueError, match=f"loss weight {name} must be a number >= 0"):
+                LossWeights(*w)
+
+    def test_held_as_floats(self):
+        w = LossWeights(1, np.int64(2), np.float32(0.5))
+        assert [type(v) for v in vars(w).values()] == [float] * 4
+        assert w == LossWeights(1.0, 2.0, 0.5, 0.0)
+
 
 class TestExpectedValues:
     def test_utility_onehot(self):

@@ -103,6 +103,11 @@ class TestSystemLevel:
         S = rng.uniform(0.01, 0.99, (3, 5))
         assert system_metrics(S, S, C).inferiority == 0.0
 
+    def test_rows_of_unequal_length_rejected(self):
+        C = np.array([[1, 1, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match="rows must all sum to the same k"):
+            system_metrics(INTRO_U, INTRO_S, C)
+
     def test_envy_antisymmetric_for_equal_utility_rows(self):
         U = np.tile(np.array([[0.2, 0.5, 0.8, 0.4]]), (2, 1))
         C = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])

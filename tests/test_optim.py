@@ -13,6 +13,7 @@ from feir.datagen import GenSpec, generate
 from feir.losses import LossWeights
 from feir.metrics import system_metrics
 from feir.optim import (
+    SCALING_KINDS,
     Scaling,
     TrainConfig,
     TrainingDiverged,
@@ -51,17 +52,25 @@ class TestScalingConfig:
 
     def test_dim_bounds_check_only_the_sizes_a_kind_reads(self):
         pair = generate(GenSpec("user_groups", 8, 20, seed=3))
-        view = make_training_view(pair, Scaling("user_sample", m_s=5, n_s=30), 0, seed=1)
-        assert view.users.size == 5 and view.items.size == 20
+        # a size the kind does not read cannot be set, whatever its value
+        for kind, sizes in [("none", {"b": 2.5}), ("none", {"n_s": 3}),
+                            ("user_sample", {"m_s": 5, "n_s": 30}),
+                            ("minibatch", {"b": 4, "m_s": 50}),
+                            ("minibatch", {"b": 2, "n_s": 999}),
+                            ("item_sample", {"n_s": 3, "b": 1})]:
+            unread = next(name for name in sizes if name not in SCALING_KINDS[kind])
+            with pytest.raises(ValueError, match=f"scaling '{kind}' does not read {unread}, "
+                                                 f"got {sizes[unread]}"):
+                Scaling(kind, **sizes)
         config = TrainConfig(k=3, weights=LossWeights(1, 1, 1), max_steps=3,
-                             scaling=Scaling("minibatch", b=4, m_s=50))
+                             scaling=Scaling("minibatch", b=4))
         assert fit(pair, config).step_count == 3
-        # a size the kind does read still raises
+        # a size the kind does read raises when it exceeds the instance
         with pytest.raises(ValueError, match="user sample m_s=9 exceeds m=8"):
-            make_training_view(pair, Scaling("user_sample", m_s=9, n_s=30), 0, seed=1)
+            make_training_view(pair, Scaling("user_sample", m_s=9), 0, seed=1)
         with pytest.raises(ValueError, match="batch size b=9 exceeds m=8"):
             fit(pair, TrainConfig(k=3, weights=LossWeights(1, 1, 1),
-                                  scaling=Scaling("minibatch", b=9, n_s=1)))
+                                  scaling=Scaling("minibatch", b=9)))
         with pytest.raises(ValueError, match="item sample n_s=21 exceeds n=20"):
             Scaling("user_item_sample", m_s=2, n_s=21).validate_dims(8, 20)
 
@@ -111,9 +120,10 @@ class TestTrainingView:
 
     def test_user_sample_samples_no_items(self):
         pair = random_pair(2, 10, 4)
-        view = make_training_view(pair, Scaling(kind="user_sample", m_s=5, n_s=3), 2, seed=3)
-        alone = make_training_view(pair, Scaling(kind="user_sample", m_s=5), 2, seed=3)
-        assert view.users.tolist() == alone.users.tolist()
+        with pytest.raises(ValueError, match="scaling 'user_sample' does not read n_s, got 3"):
+            Scaling(kind="user_sample", m_s=5, n_s=3)
+        view = make_training_view(pair, Scaling(kind="user_sample", m_s=5), 2, seed=3)
+        assert view.users.size == 5
         assert view.items.tolist() == list(range(4)) and view.item_scale == 1.0
         assert view.f_rows.tolist() == list(range(5))
 
@@ -133,6 +143,11 @@ class TestTrainConfig:
             TrainConfig(k=1, weights=w, max_steps=0)
         with pytest.raises(ValueError):
             TrainConfig(k=1, weights=w, parametrization="implicit")
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match="learning_rate must be a positive number"):
+                TrainConfig(k=1, weights=w, learning_rate=bad)
+            with pytest.raises(ValueError, match="convergence_tol must be a number >= 0"):
+                TrainConfig(k=1, weights=w, convergence_tol=bad)
 
 
 class TestFit:

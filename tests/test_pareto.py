@@ -154,8 +154,8 @@ class TestMinFairnessAboveThreshold:
 class TestSolutionConstruction:
     def test_metric_fields_pinned(self):
         assert METRIC_FIELDS == (
-            "utility", "envy", "inferiority", "overall_fairness", "utility_norm",
-            "inferiority_norm", "overall_norm", "mean_rank", "mean_gap", "gini",
+            "utility", "utility_norm", "envy", "inferiority", "inferiority_norm",
+            "overall_fairness", "overall_norm", "mean_rank", "mean_gap", "gini",
         )
 
     def test_make_solution_matches_direct_metrics(self):
