@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountMatrix, Policy, ScorePair, _is_int, _is_real, row_softmax, top_k
+from .core import (CountMatrix, Policy, ScorePair, _is_finite_real, _is_int, _is_real,
+                   row_softmax, top_k)
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class CAConfig:
     def __post_init__(self):
         if not (_is_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        if not _is_finite_real(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (_is_real(self.marginal_tol) and self.marginal_tol > 0):

@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -22,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import (ScorePair, _is_int, _is_real, _replacing, load_scores, save_matrix, top_k,
-                   write_sidecar)
+from .core import (ScorePair, _is_finite_real, _is_int, _is_real, _replacing, load_scores,
+                   save_matrix, top_k, write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -63,6 +62,11 @@ def _reject_unknown(what: str, cfg: dict, valid) -> None:
     extra = sorted(set(cfg) - set(valid))
     if extra:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
+
+
+def _is_list(value) -> bool:
+    """A JSON array setting, as a list or a tuple."""
+    return isinstance(value, (list, tuple))
 
 
 def _settings_keys(cls, *run_owned) -> tuple:
@@ -178,9 +182,14 @@ def _feir_runs(scores, cfg, k, naive_counts):
         _reject_unknown("feir scaling", settings["scaling"], _settings_keys(Scaling))
         settings["scaling"] = Scaling(**settings["scaling"])
     grid_cfg = cfg.get("weight_grid")
-    grid = [LossWeights(*w) for w in grid_cfg] if grid_cfg is not None else default_weight_grid()
-    if not grid:
-        raise ValueError("feir weight_grid must be non-empty")
+    if grid_cfg is None:
+        grid = default_weight_grid()
+    elif _is_list(grid_cfg) and grid_cfg and all(_is_list(w) and len(w) in (3, 4)
+                                                 for w in grid_cfg):
+        grid = [LossWeights(*w) for w in grid_cfg]
+    else:
+        raise ValueError("feir weight_grid must be a non-empty list of [w1, w2, w3] or "
+                         f"[w1, w2, w3, w4] lists, got {grid_cfg!r}")
     base = TrainConfig(k=k, weights=grid[0], **settings)
     for weights in grid:
         def solve(seed, weights=weights):
@@ -202,6 +211,8 @@ def _shuffle_runs(scores, cfg, k, naive_counts):
 def _ca_runs(scores, cfg, k, naive_counts):
     settings = {key: value for key, value in cfg.items() if key != "epsilons"}
     epsilons = cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])
+    if not _is_list(epsilons):
+        raise ValueError(f"ca epsilons must be a list of numbers, got {epsilons!r}")
     ca_cfgs = [baselines.CAConfig(epsilon=eps, **settings) for eps in epsilons]
     for ca_cfg in ca_cfgs:
         def solve(seed, ca_cfg=ca_cfg):
@@ -264,9 +275,12 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
     method name, a key its adapter does not read (see METHODS), an unknown
     dataset key, an explicit k outside [1, n], a shuffle d that is not an
-    integer >= 1, or a setting its dataclass rejects (a non-number real
-    setting, a non-bool RR exclusive, a scaling size its kind does not read)
-    raises ValueError before anything is solved or written. Without `ks`,
+    integer >= 1, a list setting of the wrong shape (a weight_grid that is
+    not a list of 3- or 4-weight lists, epsilons that are not a list), or a
+    setting its dataclass rejects (a non-number real setting, a loss weight
+    or CA epsilon that is not finite, a non-bool RR exclusive, a scaling size
+    its kind does not read) raises ValueError before anything is solved or
+    written. Without `ks`,
     the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
@@ -275,7 +289,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
         raise ValueError(f"seed must be an integer, got {master_seed!r}")
     master_seed = int(master_seed)
     ks = config.get("ks")
-    if ks is not None and not (isinstance(ks, (list, tuple)) and all(_is_int(k) for k in ks)):
+    if ks is not None and not (_is_list(ks) and all(_is_int(k) for k in ks)):
         raise ValueError(f"ks must be a list of integers, got {ks!r}")
     methods = config.get("methods", {})
     if not methods:
@@ -355,8 +369,7 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
         name = f"{axis['x']}_vs_{axis['y']}"
         ref = axis.get("ref")
         if ref is not None and not (
-            isinstance(ref, (list, tuple)) and len(ref) == 2
-            and all(_is_real(v) and math.isfinite(v) for v in ref)
+            _is_list(ref) and len(ref) == 2 and all(_is_finite_real(v) for v in ref)
         ):
             raise ValueError(f"report axis {name}: ref must be two finite numbers, got {ref!r}")
         threshold = axis.get("threshold")

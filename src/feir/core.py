@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import secrets
@@ -325,6 +326,15 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """A real setting whose float is finite: not inf or nan, and not an
+    integer too large for a float."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _frozen_copy(arr, dtype=float) -> np.ndarray:

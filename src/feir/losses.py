@@ -24,12 +24,13 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .core import _is_real
+from .core import _is_finite_real, _is_real
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights (envy, inferiority, negative utility, simplex penalty), held as floats."""
+    """Term weights (envy, inferiority, negative utility, simplex penalty),
+    held as finite floats; a weight of 0 leaves its term out of the objective."""
 
     w1: float
     w2: float
@@ -41,6 +42,8 @@ class LossWeights:
             w = getattr(self, f.name)
             if not (_is_real(w) and w >= 0):
                 raise ValueError(f"loss weight {f.name} must be a number >= 0, got {w!r}")
+            if not _is_finite_real(w):  # inf, or an integer too large for a float
+                raise ValueError(f"loss weight {f.name} must be finite, got {w!r}")
             object.__setattr__(self, f.name, float(w))  # 1 and 1.0: one row key
         if self.w1 == self.w2 == self.w3 == 0:
             raise ValueError("at least one of the envy/inferiority/utility weights must be positive")
@@ -48,10 +51,18 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    envy_loss: float
-    inferiority_loss: float
-    neg_utility_loss: float
-    penalty_loss: float
+    """One evaluation of the weighted objective, term by term.
+
+    A term whose weight is 0 is not evaluated and its field is None. In
+    "logits" mode the penalty is 0.0 whatever its weight, since the softmax
+    keeps rows stochastic. `total` is the left-to-right sum of the weighted
+    terms.
+    """
+
+    envy_loss: float | None
+    inferiority_loss: float | None
+    neg_utility_loss: float | None
+    penalty_loss: float | None
     total: float
 
     def as_dict(self) -> dict:
@@ -115,8 +126,9 @@ def pair_envy_matrix(U, P, k: int) -> np.ndarray:
     return E
 
 
-# Each term's (loss, grad) function returns (loss, None) when called with
-# with_grad=False, for a caller whose weight on the term is 0.
+# `optim.Objective` calls a term's (loss, grad) function only when the term's
+# weight is not 0. with_grad=False returns (loss, None): for the utility term
+# of a full view, whose gradient the objective holds, and for evaluation.
 
 
 def _utility_loss_grad(U, P, k, m_norm, with_grad=True):
@@ -255,16 +267,16 @@ class SuitabilityOrder:
         return self._scatter(ws, np.empty(ws.shape[::-1]), above)
 
 
-def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
+def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
     user), divided by m_norm, plus its gradient w.r.t. every row of P.
+    f_rows holds distinct users, so it measures every user when it has m.
 
     `order` is S's SuitabilityOrder when the caller holds one (None builds
     it). The work runs in the order's sorted coordinates and workspace: P is
     gathered once, 1 - P is shared by q = 1 - (1-P)^k and q' = k (1-P)^(k-1),
     and only the loss terms and the gradient are scattered back, both into
-    the returned array, the one m x n array a call allocates. with_grad=False
-    stops after the loss.
+    the returned array, the one m x n array a call allocates.
     """
     if order is None:
         order = SuitabilityOrder(S)
@@ -276,15 +288,14 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
         np.copyto(q, qg)
         q **= k
         np.subtract(1.0, q, out=q)
-        if with_grad:
-            qg **= k - 1
-            qg *= k
+        qg **= k - 1
+        qg *= k
     order._shortfall(q, shortfall)
-    measured = np.zeros(P.shape[0])
-    measured[f_rows] = 1.0
-    if measured.all():  # a factor of 1.0 changes nothing, so skip the products
+    if len(f_rows) == P.shape[0]:  # a factor of 1.0 changes nothing, so skip the products
         own, terms = shortfall, x
     else:  # q becomes q * measured, x measured * shortfall
+        measured = np.zeros(P.shape[0])
+        measured[f_rows] = 1.0
         np.take(measured, order._users, out=x, mode="clip")
         q *= x
         x *= shortfall
@@ -294,8 +305,6 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
     # the loss terms are summed in user coordinates, in the order of a kernel
     # that never sorts
     loss = float(np.sum(order._scatter(terms, grad, stage)) / m_norm)
-    if not with_grad:
-        return loss, None
     # a user's row gets its role as measured user i (if in f_rows) and as rival t
     lead = order._lead(q, terms)
     lead += own
@@ -305,12 +314,10 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, with_grad=True):
     return loss, grad
 
 
-def _penalty_loss_grad(P, with_grad=True):
+def _penalty_loss_grad(P):
     # the squared deviation of each row sum from 1, summed over rows
     residual = P.sum(axis=1) - 1.0
     loss = float(np.sum(residual**2))
-    if not with_grad:
-        return loss, None
     grad = np.broadcast_to(2.0 * residual[:, None], P.shape).copy()
     return loss, grad
 

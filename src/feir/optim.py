@@ -185,11 +185,15 @@ class Objective:
 
     It checks U, S and the parametrization once and holds what no step
     changes: the full view, the weighted utility gradient of a view over
-    every user and item, and S's order, sorted on the first step whose view
-    covers every user and item (a sampled view sorts its sub-instance).
-    A term whose weight is 0 still reports its loss but skips its gradient
-    pass. Leaving a 0 * g term out of the sum changes no bit of the gradient
-    (up to the sign of a zero), so it equals the sum over every term.
+    every user and item, and S's order, sorted on the first step that
+    evaluates inferiority on a view covering every user and item (a sampled
+    view sorts its sub-instance).
+
+    A term whose weight is 0 is not evaluated at all: no loss, no gradient,
+    and its LossBreakdown field is None; with w2 = 0, S is never sorted.
+    Leaving a 0 * x term out of a sum changes no bit of a non-zero total or
+    of the gradient (up to the sign of a zero), so the total, the gradient
+    and every computed field equal those of the sum over every term.
     """
 
     def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits"):
@@ -221,39 +225,43 @@ class Objective:
         mv = view.users.size
         whole = mv == m and view.items.size == n
         if whole:
-            sel, Uv, Sv, Pv, order = None, self.U, self.S, P, self.order
-        else:  # a sampled view sorts its sub-instance
+            sel, Uv, Sv, Pv = None, self.U, self.S, P
+        else:
             sel = _view_index(view, m, n)
-            Uv, Sv, Pv, order = self.U[sel], self.S[sel], P[sel], None
-        l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv, with_grad=not whole and w.w3 != 0)
-        l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv, with_grad=w.w1 != 0)
-        l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order,
-                                          with_grad=w.w2 != 0)
-        # w1 g_e + w2 g_f + w3 g_u, left to right over the non-zero weights
-        G = None
-        for weight, g in ((w.w1, g_e), (w.w2, g_f)):
-            if weight:
-                G = weight * g if G is None else G + weight * g
+            Uv, Sv, Pv = self.U[sel], self.S[sel], P[sel]
+        # only the weighted terms are evaluated; G is w1 g_e + w2 g_f + w3 g_u,
+        # left to right over them
+        l_e = l_f = l_u = G = None
+        if w.w1:
+            l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
+            G = w.w1 * g_e
+        if w.w2:
+            # a sampled view sorts its sub-instance
+            order = self.order if whole else None
+            l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
+            G = w.w2 * g_f if G is None else G + w.w2 * g_f
         if w.w3:
+            l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv, with_grad=not whole)
             weighted_u = self._utility_grad if whole else w.w3 * g_u
             # the held gradient is never handed out, so the caller may keep G
             G = weighted_u.copy() if G is None else G + weighted_u
         scale = view.item_scale
         if scale != 1.0:
-            l_u, l_e, l_f = l_u * scale, l_e * scale, l_f * scale
+            l_e, l_f, l_u = (None if loss is None else loss * scale for loss in (l_e, l_f, l_u))
             G = G * scale
         if sel is not None:
             G_full = np.zeros_like(P)
             G_full[sel] = G
             G = G_full
+        l_p = None
         if self.logits:
-            l_p = 0.0
+            l_p = 0.0  # the softmax keeps every row stochastic
             G = softmax_grad_chain(P, G)
-        else:
-            l_p, g_p = _penalty_loss_grad(P, with_grad=w.w4 != 0)
-            if w.w4:
-                G = G + w.w4 * g_p
-        total = w.w1 * l_e + w.w2 * l_f + w.w3 * l_u + w.w4 * l_p
+        elif w.w4:
+            l_p, g_p = _penalty_loss_grad(P)
+            G = G + w.w4 * g_p
+        terms = ((w.w1, l_e), (w.w2, l_f), (w.w3, l_u), (w.w4, l_p))
+        total = sum(weight * loss for weight, loss in terms if weight)
         breakdown = LossBreakdown(
             envy_loss=l_e,
             inferiority_loss=l_f,
@@ -267,7 +275,8 @@ class Objective:
 def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
                   view: TrainingView | None = None) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted combined loss at the parameters, and its analytic gradient
-    w.r.t. them: one call of a fresh `Objective`.
+    w.r.t. them: one call of a fresh `Objective`, which leaves every term
+    whose weight is 0 unevaluated.
 
     "logits": params are unconstrained row scores, P = row_softmax(params),
     and the penalty is 0 because the softmax keeps rows stochastic.
@@ -284,8 +293,12 @@ def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: s
 
 
 def _check_finite(breakdown: LossBreakdown, step: int) -> None:
+    # each computed term enters the total times a finite weight > 0, so a
+    # non-finite term makes the total non-finite; name the first such term
+    if math.isfinite(breakdown.total):
+        return
     for name, value in breakdown.as_dict().items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise TrainingDiverged(f"{name} became {value} at step {step}")
 
 

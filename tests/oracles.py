@@ -349,7 +349,7 @@ class RankMajorOrder:
         return self.scatter(np.take(above, self._run_end))
 
 
-def inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm, with_grad=True):
+def inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm):
     """`losses._inferiority_loss_grad` as it was on `RankMajorOrder`, with
     q = 1 - (1-P)^k and q' = k (1-P)^(k-1) each from its own 1 - P."""
     order = RankMajorOrder(S)
@@ -365,8 +365,6 @@ def inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm, with_grad=True):
         measured = measured[order.users]
         q_measured, own = q * measured, measured * shortfall
     loss = float(np.sum(order.scatter(q_measured * shortfall)) / m_norm)
-    if not with_grad:
-        return loss, None
     with np.errstate(over="ignore"):
         qg = k * (1.0 - Ps) ** (int(k) - 1)
     grad = qg * (own + order.sorted_lead(q_measured))

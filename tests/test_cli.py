@@ -502,12 +502,28 @@ class TestRun:
         # RR exclusive is a bool, not a string or a number
         ("rr", {"exclusive": "false"}, r"exclusive must be true or false, got 'false'"),
         ("rr", {"exclusive": 0}, r"exclusive must be true or false, got 0"),
+        # a list setting of the wrong shape, and a number too large for a float
+        ("feir", {"weight_grid": [1, 1, 1, 0]}, r"feir weight_grid must be a non-empty list of "
+                                                r"\[w1, w2, w3\] or \[w1, w2, w3, w4\] lists, "
+                                                r"got \[1, 1, 1, 0\]"),
+        ("feir", {"weight_grid": [[1, 1]]}, r"feir weight_grid .*, got \[\[1, 1\]\]"),
+        ("feir", {"weight_grid": [[1, 1, 1, 0, 0]]},
+         r"feir weight_grid .*, got \[\[1, 1, 1, 0, 0\]\]"),
+        ("feir", {"weight_grid": "1, 1, 1"}, r"feir weight_grid .*, got '1, 1, 1'"),
+        ("ca", {"epsilons": 0.1}, r"ca epsilons must be a list of numbers, got 0\.1"),
+        ("feir", {"weight_grid": [[1, 10**400, 1, 0]]}, r"loss weight w2 must be finite"),
+        ("feir", {"weight_grid": [[1, 1, 1, float("inf")]]},
+         r"loss weight w4 must be finite, got inf"),
+        ("ca", {"epsilons": [10**400]}, r"epsilon must be finite"),
+        ("ca", {"epsilons": [float("inf")]}, r"epsilon must be finite, got inf"),
     ], ids=["max_steps_float", "max_steps_bool", "scaling_b_float", "ca_max_iters_float",
             "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str",
             "learning_rate_str", "learning_rate_bool", "convergence_tol_str", "weight_bool",
             "weight_str", "ca_marginal_tol_str", "ca_epsilon_str", "ca_epsilon_bool",
             "group_fraction_str", "group_boost_bool", "scaling_none_b", "scaling_minibatch_n_s",
-            "rr_exclusive_str", "rr_exclusive_int"])
+            "rr_exclusive_str", "rr_exclusive_int", "grid_flat", "grid_short_point",
+            "grid_long_point", "grid_str", "ca_epsilons_number", "weight_overflow", "weight_inf",
+            "ca_epsilon_overflow", "ca_epsilon_inf"])
     def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
                                                        bad, message):
         fits = []
@@ -720,8 +736,12 @@ class TestReport:
          "report axis envy_vs_utility: threshold must be a number, got '0.9'"),
         ({"axes": [{"x": "envy", "y": "utility", "threshold": False}]},
          "report axis envy_vs_utility: threshold must be a number, got False"),
+        ({"axes": [{"x": "envy", "y": "utility", "ref": [1.0, 10**400]}]},
+         "report axis envy_vs_utility: ref must be two finite numbers, got [1.0, 1" + "0" * 400
+         + "]"),
     ], ids=["misspelled", "not_stored", "missing_y", "axis_key", "report_key", "ref_one_number",
-            "ref_bool", "ref_infinite", "ref_string", "threshold_string", "threshold_bool"])
+            "ref_bool", "ref_infinite", "ref_string", "threshold_string", "threshold_bool",
+            "ref_overflow"])
     def test_bad_axis_config_rejected_before_writing(self, solutions, tmp_path, report_cfg,
                                                      message):
         with pytest.raises(ValueError) as err:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -257,8 +258,6 @@ class TestScalingEquivalence:
             Scaling(kind="item_sample", n_s=6),
             Scaling(kind="user_item_sample", m_s=8, n_s=6),
         ):
-            from dataclasses import replace
-
             trace = fit(pair, replace(base, scaling=scaling))
             assert losses_of(trace) == losses_of(reference), scaling.kind
             np.testing.assert_array_equal(trace.final_policy.P, reference.final_policy.P)
@@ -267,8 +266,6 @@ class TestScalingEquivalence:
         pair = random_pair(13, 8, 6)
         base = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), learning_rate=5.0,
                            max_steps=30, convergence_tol=0.0, seed=5)
-        from dataclasses import replace
-
         partial = fit(pair, replace(base, scaling=Scaling(kind="minibatch", b=3)))
         full = fit(pair, base)
         assert losses_of(partial) != losses_of(full)
@@ -360,10 +357,69 @@ class TestViewLossAndGradient:
 ZEROED = [zeros for size in range(4) for zeros in combinations(range(4), size)
           if not {0, 1, 2} <= set(zeros)]
 
+# each weight's term: the function that evaluates it and its LossBreakdown field
+TERMS = [("_envy_loss_grad", "envy_loss"), ("_inferiority_loss_grad", "inferiority_loss"),
+         ("_utility_loss_grad", "neg_utility_loss"), ("_penalty_loss_grad", "penalty_loss")]
+
+# the points of the default grid where envy or inferiority is off
+ZERO_WEIGHT_POINTS = [w for w in default_weight_grid() if w.w1 == 0 or w.w2 == 0]
+
+
+def evaluated(weights, parametrization):
+    """Whether `optim.Objective` evaluates each term of TERMS: a term whose
+    weight is not 0, but never the logits penalty, which is 0.0."""
+    return [weights.w1 != 0, weights.w2 != 0, weights.w3 != 0,
+            parametrization == "direct" and weights.w4 != 0]
+
+
+def weighted_only(expected, weights, parametrization="logits"):
+    """The every-term oracle's breakdown as an objective that evaluates only
+    the weighted terms reports it: None for each term whose weight is 0,
+    except the logits penalty, which stays 0.0."""
+    skipped = [field for (_, field), on in zip(TERMS, evaluated(weights, parametrization))
+               if not on and (field != "penalty_loss" or parametrization == "direct")]
+    return replace(expected, **dict.fromkeys(skipped))
+
+
+@pytest.fixture
+def term_calls(monkeypatch):
+    """A dict counting the calls of each term's function through `optim`."""
+    calls = {name: 0 for name, _ in TERMS}
+    for name in calls:
+        real = getattr(optim, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(optim, name, counting)
+    return calls
+
+
+def every_term_descent(scores, config):
+    """`fit`'s descent run on the every-term oracle: its breakdowns, and the
+    final policy or the divergence message of the first non-finite field."""
+    logits = config.parametrization == "logits"
+    params = scores.U.copy() if logits else row_softmax(scores.U)
+    steps = []
+    for step in range(config.max_steps):
+        with np.errstate(over="ignore", invalid="ignore"):  # as in optim.Objective
+            breakdown, G = oracles.loss_and_grad_every_term(
+                scores.U, scores.S, params, config.k, config.weights, config.parametrization)
+        for name, value in breakdown.as_dict().items():
+            if not np.isfinite(value):
+                return steps, None, (name, f"{name} became {value} at step {step}")
+        steps.append(breakdown)
+        params = params - config.learning_rate * G
+        if optim._converged(steps, config.convergence_tol):
+            break
+    return steps, (row_softmax(params) if logits else optim._project_rows(params)), None
+
 
 class TestZeroWeightTerms:
-    """A term whose weight is 0 reports its loss but skips its gradient pass,
-    and the result is the every-term assembly's, bit for bit."""
+    """A term whose weight is 0 is not evaluated: its function is never
+    called and its field is None, while the total, every computed field and
+    the gradient are the every-term assembly's, bit for bit."""
 
     @pytest.mark.parametrize("parametrization", ["logits", "direct"])
     @pytest.mark.parametrize(
@@ -376,7 +432,7 @@ class TestZeroWeightTerms:
         ],
         ids=lambda s: s.kind,
     )
-    def test_matches_every_term_assembly(self, scaling, parametrization):
+    def test_matches_every_term_assembly(self, term_calls, scaling, parametrization):
         pair = random_pair(23, 7, 5)
         rng = np.random.default_rng(24)
         k = 2
@@ -387,49 +443,70 @@ class TestZeroWeightTerms:
             # logits, or an off-simplex policy so that the penalty is active
             params = (rng.normal(size=(7, 5)) if parametrization == "logits"
                       else rng.uniform(0.1, 0.9, (7, 5)))
-            expected = oracles.loss_and_grad_every_term(
+            breakdown, G = oracles.loss_and_grad_every_term(
                 pair.U, pair.S, params, k, weights, parametrization, view)
+            expected = weighted_only(breakdown, weights, parametrization)
+            for name in term_calls:
+                term_calls[name] = 0
             got = optim.loss_and_grad(pair.U, pair.S, params, k, weights, parametrization,
                                       view)
-            assert got[0] == expected[0], zeros
-            assert np.array_equal(got[1], expected[1]), zeros
+            assert got[0] == expected, zeros
+            assert np.array_equal(got[1], G), zeros
             # an objective reused across steps hands out a gradient of its own
             objective = optim.Objective(pair.U, pair.S, k, weights, parametrization)
             for _ in range(2):
-                breakdown, G = objective(params, view)
-                assert breakdown == expected[0], zeros
-                assert np.array_equal(G, expected[1]), zeros
-                G *= 2.0
+                breakdown, G_again = objective(params, view)
+                assert breakdown == expected, zeros
+                assert np.array_equal(G_again, G), zeros
+                G_again *= 2.0
+            # each weighted term is evaluated once per call, and no other term
+            assert [term_calls[name] for name, _ in TERMS] == [
+                3 * on for on in evaluated(weights, parametrization)], zeros
 
     @pytest.mark.parametrize("weights, term, loss", [
         ((1.0, 0.0, 1.0, 0.0), "_inferiority_loss_grad", "inferiority_loss"),
         ((0.0, 1.0, 1.0, 0.0), "_envy_loss_grad", "envy_loss"),
     ], ids=["w2_zero", "w1_zero"])
-    def test_fit_makes_no_gradient_pass_for_a_zero_weight(self, monkeypatch, weights, term,
-                                                          loss):
+    def test_fit_makes_no_gradient_pass_for_a_zero_weight(self, term_calls, order_builds,
+                                                          weights, term, loss):
         pair = random_pair(25, 6, 8)
         config = TrainConfig(k=2, weights=LossWeights(*weights), max_steps=25,
                              convergence_tol=0.0)
-        passes = []
-        real = getattr(optim, term)
-
-        def counting(*args, **kwargs):
-            result = real(*args, **kwargs)
-            passes.append(result[1] is not None)
-            return result
-
-        monkeypatch.setattr(optim, term, counting)
         trace = fit(pair, config)
-        assert len(passes) == 25 and not any(passes)
-        # the trace holds the term's real loss, as the every-term descent sees it
-        assert all(getattr(b, loss) > 0.0 for b in trace.steps)
+        assert term_calls[term] == 0
+        assert all(getattr(b, loss) is None for b in trace.steps)
+        # S is sorted only for a fit that weighs inferiority
+        assert order_builds == ([] if term == "_inferiority_loss_grad" else [(6, 8)])
         params = pair.U.copy()
         for breakdown in trace.steps:
             expected, G = oracles.loss_and_grad_every_term(
                 pair.U, pair.S, params, config.k, config.weights)
-            assert breakdown == expected
+            assert breakdown == weighted_only(expected, config.weights)
             params = params - config.learning_rate * G
-        np.testing.assert_array_equal(trace.final_policy.P, row_softmax(params))
+        assert np.array_equal(trace.final_policy.P, row_softmax(params))
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize("weights", ZERO_WEIGHT_POINTS,
+                             ids=lambda w: f"w1={w.w1:g}-w2={w.w2:g}")
+    def test_zero_weight_grid_points_match_every_term_descent(self, weights, parametrization):
+        pair = generate(GenSpec("user_groups", 8, 20, seed=3))
+        config = TrainConfig(k=3, weights=weights, max_steps=50,
+                             parametrization=parametrization)
+        steps, P, diverged = every_term_descent(pair, config)
+        if diverged is None:
+            trace = fit(pair, config)
+            assert trace.step_count == len(steps)
+            assert [b.total for b in trace.steps] == [b.total for b in steps]
+            assert trace.steps == [weighted_only(b, weights, parametrization) for b in steps]
+            assert np.array_equal(trace.final_policy.P, P)
+            return
+        # a direct fit whose weighted inferiority explodes stops where the
+        # every-term descent does, naming the same term
+        name, message = diverged
+        assert parametrization == "direct" and name == "inferiority_loss" and weights.w2 != 0
+        with pytest.raises(TrainingDiverged) as err:
+            fit(pair, config)
+        assert str(err.value) == message
 
 
 def sweep_rows(tmp_path, dataset, grid, k, **feir_cfg):
