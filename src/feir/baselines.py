@@ -34,6 +34,8 @@ class CAConfig:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (_is_real(self.marginal_tol) and self.marginal_tol > 0):
             raise ValueError(f"marginal_tol must be a positive number, got {self.marginal_tol!r}")
+        if not _is_finite_real(self.marginal_tol):
+            raise ValueError(f"marginal_tol must be finite, got {self.marginal_tol!r}")
         object.__setattr__(self, "epsilon", float(self.epsilon))  # 1 and 1.0: one row key
 
 

@@ -277,11 +277,12 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     dataset key, an explicit k outside [1, n], a shuffle d that is not an
     integer >= 1, a list setting of the wrong shape (a weight_grid that is
     not a list of 3- or 4-weight lists, epsilons that are not a list), or a
-    setting its dataclass rejects (a non-number real setting, a loss weight
-    or CA epsilon that is not finite, a non-bool RR exclusive, a scaling size
-    its kind does not read) raises ValueError before anything is solved or
-    written. Without `ks`,
-    the DEFAULT_KS up to n are run.
+    setting its dataclass rejects (a non-number real setting, a loss weight,
+    learning rate, convergence tolerance, CA epsilon, CA marginal tolerance
+    or group boost that is not finite, a group boost that leaves the
+    sampler's truncation interval no width, a non-bool RR exclusive, a scaling
+    size its kind does not read) raises ValueError before anything is solved
+    or written. Without `ks`, the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -438,15 +439,17 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
 def cmd_check(fast: bool = False) -> int:
     """Quick self-validation: closed forms vs Monte Carlo, analytic gradients
     vs finite differences, hypervolume vs area sampling, transport marginals,
-    and the CSV matrix writer vs per-value `%.17g`, whose exactness rests on
-    the platform's float64 arithmetic. Prints one line per check; returns a
-    process exit code."""
-    failures = 0
+    the CSV matrix writer vs per-value `%.17g`, whose exactness rests on
+    the platform's float64 arithmetic, and the synthetic-data sampler vs the
+    installed scipy's `truncnorm.ppf`, whose steps it copies. Prints one line
+    per check; returns a process exit code."""
+    checks = failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
+        nonlocal checks, failures
         status = "PASS" if ok else "FAIL"
         print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
+        checks += 1
         failures += 0 if ok else 1
 
     rng = np.random.default_rng(2024)
@@ -537,7 +540,23 @@ def cmd_check(fast: bool = False) -> int:
         written = (Path(tmp) / "m.csv").read_bytes()
     report("matrix writer matches %.17g", written == expected.encode(), f"{M.size} values")
 
-    print(f"{5 - failures}/5 checks passed")
+    # the sampler vs scipy.stats, imported here only: both mass cases (the
+    # boosts 0.5 and up put b <= 0), at the clipped uniforms' edges too
+    import scipy
+    from scipy.stats import truncnorm
+
+    q = np.concatenate([[datagen._EDGE, 1.0 - datagen._EDGE], rng.random(998)])
+    loc = datagen.BASE_LOC + np.array([0.0, 0.3, 0.5, 0.7, 5.0])
+    scale = np.array(sorted({family[1] for family in datagen.FAMILIES.values()}))
+    q, loc, scale = np.broadcast_arrays(q[:, None, None], loc[:, None], scale)
+    alpha, beta = (0.0 - loc) / scale, (1.0 - loc) / scale
+    ours = datagen._truncnorm_ppf(q, alpha, beta) * scale + loc
+    theirs = truncnorm.ppf(q, alpha, beta, loc=loc, scale=scale)
+    same = np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+    report("sampler matches truncnorm.ppf bit for bit", same,
+           f"scipy {scipy.__version__}, {q.size} values")
+
+    print(f"{checks - failures}/{checks} checks passed")
     return 1 if failures else 0
 
 

@@ -9,7 +9,10 @@ use Normal(0.5, 0.25^2). The structured families use a tighter within-group
 spread (0.1) so that a boost of +0.3 on the pre-truncation mean separates the
 advantaged group unambiguously; with the wide spread the groups blur together
 and the scenario loses its point. Sampling is by inverse CDF on seed-derived
-uniform streams, so every generator is a pure function of its GenSpec.
+uniform streams, so every generator is a pure function of its GenSpec. The
+inverse CDF repeats scipy 1.17.1's `truncnorm.ppf` with `scipy.special`
+alone (`_truncnorm_ppf`), so its values are that function's to the bit and
+importing the module does not load `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .core import ScorePair, _is_int, _is_real
+from .core import ScorePair, _is_finite_real, _is_int, _is_real
 
 # family -> (default (m, n), None where both must be given; scale; the seed
 # stream of U, then of S when S is drawn on its own)
@@ -63,6 +66,15 @@ class GenSpec:
             raise ValueError(f"group_fraction must be a number in (0, 1), got {self.group_fraction!r}")
         if not (_is_real(self.group_boost) and self.group_boost > 0.0):
             raise ValueError(f"group_boost must be a positive number, got {self.group_boost!r}")
+        if not _is_finite_real(self.group_boost):
+            raise ValueError(f"group_boost must be finite, got {self.group_boost!r}")
+        if self.family in ("item_groups", "user_groups"):
+            # the sampler's bounds (0 - loc) / scale and (1 - loc) / scale
+            # round to one float once the boosted mean passes about 2^53
+            loc, scale = BASE_LOC + float(self.group_boost), FAMILIES[self.family][1]
+            if not (0.0 - loc) / scale < (1.0 - loc) / scale:
+                raise ValueError(f"group_boost leaves (0, 1) no width at float precision, "
+                                 f"got {self.group_boost!r}")
 
     def label(self) -> str:
         scale = FAMILIES[self.family][1]
@@ -72,9 +84,28 @@ class GenSpec:
         return base + ")"
 
 
-# Elements per truncnorm.ppf call. One call holds about 30 temporaries the
-# size of its input, so a block of 2^14 peaks near 4 MB whatever the shape.
+# Elements per `_truncnorm_ppf` call. One call holds about 20 temporaries the
+# size of its input, so a block of 2^14 peaks near 2.7 MB whatever the shape.
 _BLOCK = 1 << 14
+
+
+def _truncnorm_ppf(q, a, b):
+    """The inverse CDF of the standard normal truncated to (a, b), taking
+    scipy 1.17.1's `truncnorm._ppf` and `_log_gauss_mass` steps in their
+    order with the same `scipy.special` calls, so its bits are theirs.
+
+    Only the branches that datagen reaches are kept: GenSpec keeps a < b,
+    which scipy checks first, and loc >= BASE_LOC > 0 puts a < 0
+    everywhere, so only `ppf_left` runs, and the mass is the b <= 0 case
+    (boost >= 0.5) or the central case, never `case_right`.
+    """
+    # the central case everywhere (special functions raise no warning where
+    # b <= 0), then the b <= 0 case over it where there is any
+    mass = log1p(-ndtr(a) - ndtr(-b))
+    left = b <= 0
+    if left.any():
+        mass[left] = np.real(logsumexp([log_ndtr(b[left]), log_ndtr(a[left]) + np.pi * 1j], axis=0))
+    return ndtri_exp(logsumexp([log_ndtr(a), np.log(q) + mass], axis=0))
 
 
 def _truncated_normal(shape, seed_key, loc, scale) -> np.ndarray:
@@ -97,7 +128,7 @@ def _truncated_normal(shape, seed_key, loc, scale) -> np.ndarray:
         loc_block = locs[block]
         alpha = (0.0 - loc_block) / scale
         beta = (1.0 - loc_block) / scale
-        x = truncnorm.ppf(flat[block], alpha, beta, loc=loc_block, scale=scale)
+        x = _truncnorm_ppf(flat[block], alpha, beta) * scale + loc_block
         np.clip(x, _EDGE, 1.0 - _EDGE, out=flat[block])
     return out
 

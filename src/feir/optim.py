@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DimensionError, Policy, ScorePair, _is_int, _is_real, row_softmax
+from .core import DimensionError, Policy, ScorePair, _is_finite_real, _is_int, _is_real, row_softmax
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -160,10 +160,14 @@ class TrainConfig:
     def __post_init__(self):
         if not (_is_real(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        if not _is_finite_real(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if not _is_int(self.max_steps) or self.max_steps < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not (_is_real(self.convergence_tol) and self.convergence_tol >= 0):
             raise ValueError(f"convergence_tol must be a number >= 0, got {self.convergence_tol!r}")
+        if not _is_finite_real(self.convergence_tol):
+            raise ValueError(f"convergence_tol must be finite, got {self.convergence_tol!r}")
         if self.parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
 

@@ -133,6 +133,11 @@ class TestCongestionAlleviation:
                 CAConfig(epsilon=bad)
             with pytest.raises(ValueError, match="marginal_tol must be a positive number"):
                 CAConfig(epsilon=0.1, marginal_tol=bad)
+        for bad in (float("inf"), np.inf, 10**400):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                CAConfig(epsilon=bad)
+            with pytest.raises(ValueError, match="marginal_tol must be finite"):
+                CAConfig(epsilon=0.1, marginal_tol=bad)
 
     def test_epsilon_is_held_as_a_float(self):
         assert type(CAConfig(epsilon=1).epsilon) is float

@@ -516,6 +516,14 @@ class TestRun:
          r"loss weight w4 must be finite, got inf"),
         ("ca", {"epsilons": [10**400]}, r"epsilon must be finite"),
         ("ca", {"epsilons": [float("inf")]}, r"epsilon must be finite, got inf"),
+        ("feir", {"learning_rate": 10**400}, r"learning_rate must be finite"),
+        ("feir", {"learning_rate": float("inf")}, r"learning_rate must be finite, got inf"),
+        ("feir", {"convergence_tol": 10**400}, r"convergence_tol must be finite"),
+        ("feir", {"convergence_tol": float("inf")}, r"convergence_tol must be finite, got inf"),
+        ("ca", {"marginal_tol": 10**400}, r"marginal_tol must be finite"),
+        ("ca", {"marginal_tol": float("inf")}, r"marginal_tol must be finite, got inf"),
+        ("dataset", {"group_boost": 10**400}, r"group_boost must be finite"),
+        ("dataset", {"group_boost": float("inf")}, r"group_boost must be finite, got inf"),
     ], ids=["max_steps_float", "max_steps_bool", "scaling_b_float", "ca_max_iters_float",
             "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str",
             "learning_rate_str", "learning_rate_bool", "convergence_tol_str", "weight_bool",
@@ -523,7 +531,10 @@ class TestRun:
             "group_fraction_str", "group_boost_bool", "scaling_none_b", "scaling_minibatch_n_s",
             "rr_exclusive_str", "rr_exclusive_int", "grid_flat", "grid_short_point",
             "grid_long_point", "grid_str", "ca_epsilons_number", "weight_overflow", "weight_inf",
-            "ca_epsilon_overflow", "ca_epsilon_inf"])
+            "ca_epsilon_overflow", "ca_epsilon_inf", "learning_rate_overflow",
+            "learning_rate_inf", "convergence_tol_overflow", "convergence_tol_inf",
+            "ca_marginal_tol_overflow", "ca_marginal_tol_inf", "group_boost_overflow",
+            "group_boost_inf"])
     def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
                                                        bad, message):
         fits = []
@@ -776,7 +787,7 @@ class TestReport:
 
 def test_check_fast_passes(capsys):
     assert cmd_check(fast=True) == 0
-    assert "5/5 checks passed" in capsys.readouterr().out
+    assert "6/6 checks passed" in capsys.readouterr().out
 
 
 class TestMain:

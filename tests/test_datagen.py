@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,6 +44,18 @@ class TestGenSpec:
             GenSpec(family="item_groups", group_fraction=bad)
         with pytest.raises(ValueError, match="group_boost must be a positive number"):
             GenSpec(family="item_groups", group_boost=bad)
+
+    @pytest.mark.parametrize("bad", [float("inf"), np.inf, 10**400])
+    def test_group_boost_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="group_boost must be finite"):
+            GenSpec(family="user_groups", group_boost=bad)
+
+    @pytest.mark.parametrize("family", ["item_groups", "user_groups"])
+    def test_group_boost_must_leave_the_interval_a_width(self, family):
+        # truncnorm.ppf returned nan here, which generate refused as non-finite
+        with pytest.raises(ValueError, match="group_boost leaves .* got 1e\\+16"):
+            GenSpec(family=family, m=4, n=5, group_boost=1e16)
+        assert np.isfinite(generate(GenSpec(family=family, m=4, n=5, group_boost=1e15)).U).all()
 
     def test_numpy_integer_seed_accepted(self):
         spec = GenSpec(family="random", m=4, n=5, seed=np.int64(3))
@@ -185,6 +200,27 @@ class TestBlockedSampler:
         spec = GenSpec(family=family, m=m, n=n, seed=seed)
         _assert_same_bits(generate(spec), _whole_matrix_generate(spec, monkeypatch))
 
+    @pytest.mark.parametrize("family", ["item_groups", "user_groups"])
+    @pytest.mark.parametrize("boost", [0.5, 0.7, 5.0])
+    @pytest.mark.parametrize("block", [None, 97])
+    def test_boost_of_a_half_or_more_matches_reference(self, monkeypatch, family, boost, block):
+        # the boosted loc is then >= 1, so b <= 0 there and the Gaussian mass
+        # takes its b <= 0 case, next to the central case of the other group
+        spec = GenSpec(family=family, m=37, n=513, seed=3, group_boost=boost)
+        expected = _whole_matrix_generate(spec, monkeypatch)
+        if block is not None:
+            monkeypatch.setattr(feir.datagen, "_BLOCK", block)
+        _assert_same_bits(generate(spec), expected)
+
+    @pytest.mark.parametrize("q", [feir.datagen._EDGE, 1.0 - feir.datagen._EDGE])
+    @pytest.mark.parametrize("scale", [0.1, 0.25])
+    def test_ppf_matches_truncnorm_at_the_clipped_edges(self, q, scale):
+        loc = BASE_LOC + np.array([0.0, 0.3, 0.4999999, 0.5, 0.7, 5.0])
+        alpha, beta = (0.0 - loc) / scale, (1.0 - loc) / scale
+        ours = feir.datagen._truncnorm_ppf(np.full(loc.shape, q), alpha, beta) * scale + loc
+        expected = truncnorm.ppf(q, alpha, beta, loc=loc, scale=scale)
+        assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_blocks_crossing_rows_match_reference(self, monkeypatch, family):
         # 97 divides neither the row length nor the matrix size
@@ -203,3 +239,16 @@ class TestBlockedSampler:
             tracemalloc.stop()
         output = pair.U.nbytes if pair.shared else pair.U.nbytes + pair.S.nbytes
         assert peak <= 5 * output
+
+
+@pytest.mark.parametrize("module", ["feir", "feir.cli"])
+def test_import_loads_no_scipy_stats(module):
+    # a fresh interpreter, since this one has imported scipy.stats for the oracles
+    src = os.path.dirname(os.path.dirname(feir.datagen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

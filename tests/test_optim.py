@@ -150,6 +150,14 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="convergence_tol must be a number >= 0"):
                 TrainConfig(k=1, weights=w, convergence_tol=bad)
 
+    @pytest.mark.parametrize("bad", [float("inf"), np.inf, 10**400])
+    def test_non_finite_rejected(self, bad):
+        w = LossWeights(1, 1, 1)
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(k=1, weights=w, learning_rate=bad)
+        with pytest.raises(ValueError, match="convergence_tol must be finite"):
+            TrainConfig(k=1, weights=w, convergence_tol=bad)
+
 
 class TestFit:
     def test_utility_only_recovers_argmax(self):
