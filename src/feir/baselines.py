@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CountMatrix, Policy, ScorePair, _is_finite_real, _is_int, _is_real,
-                   row_softmax, top_k)
+                   _logsumexp, row_softmax, top_k)
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,6 @@ class SinkhornError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, for finite real a, by the steps that
-    scipy.special.logsumexp takes for real input (as of scipy 1.17), in its
-    order, so the bits match: the maxima are counted and kept out of the
-    shifted sum."""
-    a_max = np.max(a, axis=axis, keepdims=True)
-    at_max = a == a_max
-    count = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-    # scipy divides only where s != 0, but 0 / count is 0 anyway
-    return np.squeeze(np.log1p(s / count) + np.log(count) + a_max, axis=axis)
 
 
 def naive(scores: ScorePair, k: int) -> CountMatrix:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import (ScorePair, _is_finite_real, _is_int, _is_real, _replacing, load_scores,
-                   save_matrix, top_k, write_sidecar)
+from .core import (ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp, _replacing,
+                   load_scores, save_matrix, top_k, write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -280,9 +280,10 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     setting its dataclass rejects (a non-number real setting, a loss weight,
     learning rate, convergence tolerance, CA epsilon, CA marginal tolerance
     or group boost that is not finite, a group boost that leaves the
-    sampler's truncation interval no width, a non-bool RR exclusive, a scaling
-    size its kind does not read) raises ValueError before anything is solved
-    or written. Without `ks`, the DEFAULT_KS up to n are run.
+    sampler's truncation interval no width, a group fraction that leaves a
+    group empty, a non-bool RR exclusive, a scaling size its kind does not
+    read) raises ValueError before anything is solved or written. Without
+    `ks`, the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -440,9 +441,10 @@ def cmd_check(fast: bool = False) -> int:
     """Quick self-validation: closed forms vs Monte Carlo, analytic gradients
     vs finite differences, hypervolume vs area sampling, transport marginals,
     the CSV matrix writer vs per-value `%.17g`, whose exactness rests on
-    the platform's float64 arithmetic, and the synthetic-data sampler vs the
-    installed scipy's `truncnorm.ppf`, whose steps it copies. Prints one line
-    per check; returns a process exit code."""
+    the platform's float64 arithmetic, and the synthetic-data sampler and
+    the log-sum-exp it shares with congestion alleviation vs the installed
+    scipy's `truncnorm.ppf` and `logsumexp`, whose steps they copy. Prints
+    one line per check; returns a process exit code."""
     checks = failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -543,6 +545,7 @@ def cmd_check(fast: bool = False) -> int:
     # the sampler vs scipy.stats, imported here only: both mass cases (the
     # boosts 0.5 and up put b <= 0), at the clipped uniforms' edges too
     import scipy
+    from scipy.special import logsumexp
     from scipy.stats import truncnorm
 
     q = np.concatenate([[datagen._EDGE, 1.0 - datagen._EDGE], rng.random(998)])
@@ -550,11 +553,25 @@ def cmd_check(fast: bool = False) -> int:
     scale = np.array(sorted({family[1] for family in datagen.FAMILIES.values()}))
     q, loc, scale = np.broadcast_arrays(q[:, None, None], loc[:, None], scale)
     alpha, beta = (0.0 - loc) / scale, (1.0 - loc) / scale
-    ours = datagen._truncnorm_ppf(q, alpha, beta) * scale + loc
+    log_cdf_a, log_mass = datagen._truncnorm_log_terms(alpha, beta)
+    ours = datagen._truncnorm_ppf(q, log_cdf_a, log_mass) * scale + loc
     theirs = truncnorm.ppf(q, alpha, beta, loc=loc, scale=scale)
     same = np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
     report("sampler matches truncnorm.ppf bit for bit", same,
            f"scipy {scipy.__version__}, {q.size} values")
+
+    # the log-sum-exp that the sampler and congestion alleviation share vs
+    # scipy's: the sampler's (2, B) pairs with ties appended, and both axes
+    # of a matrix whose lines tie at their maximum outside the noisy corner
+    pairs = np.stack([log_cdf_a.ravel(), (np.log(q) + log_mass).ravel()])
+    pairs = np.concatenate([pairs, pairs[:1].repeat(2, axis=0)], axis=1)
+    tied = rng.integers(0, 4, (40, 60)) * 7.0
+    tied[:20, :30] += rng.random((20, 30))
+    same = all(np.array_equal(_logsumexp(a, axis).view(np.uint64),
+                              logsumexp(a, axis=axis).view(np.uint64))
+               for a, axis in ((pairs, 0), (tied, 0), (tied, 1)))
+    report("log-sum-exp matches scipy.special.logsumexp bit for bit", same,
+           f"scipy {scipy.__version__}, {pairs.shape[1] + tied.shape[0] + tied.shape[1]} sums")
 
     print(f"{checks - failures}/{checks} checks passed")
     return 1 if failures else 0

@@ -469,6 +469,20 @@ def row_softmax(Z) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, for finite real a, by the steps that
+    scipy.special.logsumexp takes for real input (as of scipy 1.17), in its
+    order, so the bits match: the maxima are counted and kept out of the
+    shifted sum. Congestion alleviation's Sinkhorn sweeps and the synthetic
+    sampler's inverse CDF both use it."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    count = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    # scipy divides only where s != 0, but 0 / count is 0 anyway
+    return np.squeeze(np.log1p(s / count) + np.log(count) + a_max, axis=axis)
+
+
 def top_k(P, k: int) -> CountMatrix:
     """Deterministic rounding: mark the k largest entries of each row with 1.
 

@@ -10,9 +10,12 @@ spread (0.1) so that a boost of +0.3 on the pre-truncation mean separates the
 advantaged group unambiguously; with the wide spread the groups blur together
 and the scenario loses its point. Sampling is by inverse CDF on seed-derived
 uniform streams, so every generator is a pure function of its GenSpec. The
-inverse CDF repeats scipy 1.17.1's `truncnorm.ppf` with `scipy.special`
-alone (`_truncnorm_ppf`), so its values are that function's to the bit and
-importing the module does not load `scipy.stats`.
+inverse CDF repeats scipy 1.17.1's `truncnorm.ppf` without `scipy.stats`,
+in two parts: `_truncnorm_log_terms` evaluates the `scipy.special` terms
+of the bounds once on the n, m or 1 values of loc, and `_truncnorm_ppf`
+does the rest per draw, its real log-sum-exp by `core._logsumexp`. Both
+take scipy's steps in its order, so the values are that function's to the
+bit, and importing the module does not load `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .core import ScorePair, _is_finite_real, _is_int, _is_real
+from .core import ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp
 
 # family -> (default (m, n), None where both must be given; scale; the seed
 # stream of U, then of S when S is drawn on its own)
@@ -69,6 +72,11 @@ class GenSpec:
         if not _is_finite_real(self.group_boost):
             raise ValueError(f"group_boost must be finite, got {self.group_boost!r}")
         if self.family in ("item_groups", "user_groups"):
+            size, unit = (self.n, "columns") if self.family == "item_groups" else (self.m, "rows")
+            boosted = int(round(self.group_fraction * size))
+            if boosted in (0, size):
+                raise ValueError(f"group_fraction must leave both groups non-empty, got "
+                                 f"{self.group_fraction!r}, which boosts {boosted} of {size} {unit}")
             # the sampler's bounds (0 - loc) / scale and (1 - loc) / scale
             # round to one float once the boosted mean passes about 2^53
             loc, scale = BASE_LOC + float(self.group_boost), FAMILIES[self.family][1]
@@ -84,15 +92,19 @@ class GenSpec:
         return base + ")"
 
 
-# Elements per `_truncnorm_ppf` call. One call holds about 20 temporaries the
-# size of its input, so a block of 2^14 peaks near 2.7 MB whatever the shape.
+# Elements per `_truncnorm_ppf` call. One call holds about 8 temporaries the
+# size of its input, so a block of 2^14 peaks near 1.1 MB whatever the shape.
 _BLOCK = 1 << 14
 
 
-def _truncnorm_ppf(q, a, b):
-    """The inverse CDF of the standard normal truncated to (a, b), taking
-    scipy 1.17.1's `truncnorm._ppf` and `_log_gauss_mass` steps in their
-    order with the same `scipy.special` calls, so its bits are theirs.
+def _truncnorm_log_terms(a, b):
+    """The half of the inverse CDF of the standard normal truncated to
+    (a, b) that depends on the bounds alone: `log_ndtr(a)` and the log of
+    the Gaussian mass of (a, b), taking scipy 1.17.1's `truncnorm._ppf`
+    and `_log_gauss_mass` steps with the same `scipy.special` calls, so
+    its bits are theirs. The bounds come from loc, which has one value per
+    column, per row or one in all, so this runs on n, m or 1 values, not
+    on every draw.
 
     Only the branches that datagen reaches are kept: GenSpec keeps a < b,
     which scipy checks first, and loc >= BASE_LOC > 0 puts a < 0
@@ -105,31 +117,44 @@ def _truncnorm_ppf(q, a, b):
     left = b <= 0
     if left.any():
         mass[left] = np.real(logsumexp([log_ndtr(b[left]), log_ndtr(a[left]) + np.pi * 1j], axis=0))
-    return ndtri_exp(logsumexp([log_ndtr(a), np.log(q) + mass], axis=0))
+    return log_ndtr(a), mass
+
+
+def _truncnorm_ppf(q, log_cdf_a, log_mass):
+    """The per-draw half of that inverse CDF, at the uniforms q, given
+    `_truncnorm_log_terms(a, b)` read at each draw: scipy's
+    `ndtri_exp(logsumexp([log_ndtr(a), log(q) + mass]))`, with the real
+    log-sum-exp taken by `core._logsumexp`, whose bits are scipy's."""
+    return ndtri_exp(_logsumexp(np.stack([log_cdf_a, np.log(q) + log_mass]), axis=0))
 
 
 def _truncated_normal(shape, seed_key, loc, scale) -> np.ndarray:
     """Inverse-CDF samples of Normal(loc, scale^2) truncated to (0, 1).
 
     `loc` may be an array broadcasting against `shape` (boosted rows/columns).
-    The uniforms are drawn at once into the output array, which the inverse
-    CDF then overwrites in C-order blocks of `_BLOCK` elements, so memory
-    stays a small multiple of the output however wide a row is. The
-    transform is elementwise, so the values are those of one whole-matrix
-    call.
+    The bounds' terms are evaluated once on `loc` as given, before
+    broadcasting. The uniforms are drawn at once into the output array,
+    which the inverse CDF then overwrites block by block: as many whole rows
+    as fit in `_BLOCK` elements, or `_BLOCK` columns of one row when a row
+    is longer, so every block is contiguous and memory stays a small
+    multiple of the output however wide a row is. Each block reads loc and
+    its terms through broadcast views. The transform is elementwise, so the
+    values are those of one whole-matrix call.
     """
     rng = np.random.default_rng(seed_key)
     out = rng.random(shape)
     np.clip(out, _EDGE, 1.0 - _EDGE, out=out)
-    flat = out.reshape(-1)
-    locs = np.broadcast_to(np.asarray(loc, dtype=float), shape).flat
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        loc_block = locs[block]
-        alpha = (0.0 - loc_block) / scale
-        beta = (1.0 - loc_block) / scale
-        x = _truncnorm_ppf(flat[block], alpha, beta) * scale + loc_block
-        np.clip(x, _EDGE, 1.0 - _EDGE, out=flat[block])
+    loc = np.atleast_1d(np.asarray(loc, dtype=float))
+    log_cdf_a, log_mass = _truncnorm_log_terms((0.0 - loc) / scale, (1.0 - loc) / scale)
+    views = [np.broadcast_to(x, shape) for x in (loc, log_cdf_a, log_mass)]
+    m, n = shape
+    rows, cols = max(1, _BLOCK // n), min(n, _BLOCK)
+    for r in range(0, m, rows):
+        for c in range(0, n, cols):
+            block = np.s_[r:r + rows, c:c + cols]
+            loc_block, log_cdf_a_block, log_mass_block = (x[block] for x in views)
+            x = _truncnorm_ppf(out[block], log_cdf_a_block, log_mass_block)
+            np.clip(x * scale + loc_block, _EDGE, 1.0 - _EDGE, out=out[block])
     return out
 
 

@@ -548,6 +548,16 @@ class TestRun:
         assert fits == []
         assert not (tmp_path / "out" / "solutions.csv").exists()
 
+    @pytest.mark.parametrize("fraction", [0.01, 0.99])
+    def test_group_fraction_leaving_a_group_empty_raises_before_writing(self, tmp_path,
+                                                                      fraction):
+        config = {"dataset": {"family": "user_groups", "m": 20, "n": 100,
+                              "group_fraction": fraction},
+                  "ks": [2], "methods": {"naive": {}}}
+        with pytest.raises(ValueError, match="group_fraction must leave both groups non-empty"):
+            cmd_run(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_numpy_integer_settings_run_as_python_ints(self, tmp_path):
         def config(i):
             return {"seed": i(2), "dataset": {"family": "random", "m": i(6), "n": 8},
@@ -787,7 +797,7 @@ class TestReport:
 
 def test_check_fast_passes(capsys):
     assert cmd_check(fast=True) == 0
-    assert "6/6 checks passed" in capsys.readouterr().out
+    assert "7/7 checks passed" in capsys.readouterr().out
 
 
 class TestMain:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import log_ndtr, logsumexp
 
 import feir.core
 from feir.core import (
@@ -19,6 +20,7 @@ from feir.core import (
     NumericError,
     Policy,
     ScorePair,
+    _logsumexp,
     load_matrix,
     load_scores,
     row_softmax,
@@ -405,6 +407,42 @@ class TestRowSoftmax:
         Z = np.random.default_rng(seed).normal(scale=10, size=(4, 6))
         sums = row_softmax(Z).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("eps", [0.0003, 0.003, 0.01, 0.1])
+    def test_matches_scipy_bits(self, eps, axis):
+        # congestion alleviation's shape: scores over eps
+        rng = np.random.default_rng(9)
+        smooth = rng.uniform(0.01, 0.99, (30, 50))
+        # one-decimal entries tie at many lines' maximum; a constant line is
+        # all maxima, so its shifted sum is exactly 0
+        a = np.where(rng.random(smooth.shape) < 0.5, smooth, np.round(smooth, 1) + 0.05)
+        a[3] = 0.5
+        a[:, 3] = 0.5
+        a = a / eps
+        at_max = (a == a.max(axis=axis, keepdims=True)).sum(axis=axis)
+        assert (at_max == 1).any() and (at_max > 1).any()
+        assert np.array_equal(_logsumexp(a, axis), logsumexp(a, axis=axis))
+
+    def test_matches_scipy_bits_on_the_samplers_pairs(self):
+        # the sampler's (2, B) stack, log_ndtr(a) over log(q) + a mass,
+        # reduced along axis 0: boosts up to 1e15 put log_ndtr(a) near
+        # -5e31; then exact ties (a count of 2), and pairs whose smaller
+        # operand's shifted exp underflows to 0, either way round
+        loc = 0.5 + np.array([0.0, 0.3, 0.7, 5.0, 1e5, 1e10, 1e15] * 2)
+        scale = np.repeat([0.1, 0.25], 7)
+        log_q = np.log(np.random.default_rng(3).random((20, 1)))
+        sampled = np.stack(np.broadcast_arrays(
+            log_ndtr((0.0 - loc) / scale), log_q + log_ndtr((1.0 - loc) / scale))).reshape(2, -1)
+        lower = np.random.default_rng(4).uniform(-50.0, 0.0, 20)
+        ties = np.stack([lower, lower])
+        underflow = np.stack([np.r_[lower, lower - 800.0], np.r_[lower - 800.0, lower]])
+        pairs = np.concatenate([sampled, ties, underflow], axis=1)
+        assert pairs.min() < -1e31
+        assert np.all(np.exp(underflow.min(axis=0) - underflow.max(axis=0)) == 0.0)
+        assert np.array_equal(_logsumexp(pairs, 0), logsumexp(pairs, axis=0))
 
 
 class TestTopK:

@@ -57,6 +57,24 @@ class TestGenSpec:
             GenSpec(family=family, m=4, n=5, group_boost=1e16)
         assert np.isfinite(generate(GenSpec(family=family, m=4, n=5, group_boost=1e15)).U).all()
 
+    @pytest.mark.parametrize("family, fraction, boosted", [
+        ("user_groups", 0.01, "0 of 20 rows"), ("user_groups", 0.99, "20 of 20 rows"),
+        ("item_groups", 0.004, "0 of 100 columns"), ("item_groups", 0.996, "100 of 100 columns")])
+    def test_group_fraction_must_leave_both_groups_non_empty(self, family, fraction, boosted):
+        with pytest.raises(ValueError, match=f"group_fraction must leave both groups non-empty, "
+                                             f"got {fraction}, which boosts {boosted}"):
+            GenSpec(family, 20, 100, group_fraction=fraction)
+
+    @pytest.mark.parametrize("family, fraction, size", [
+        ("user_groups", 0.03, 1), ("user_groups", 0.97, 19),
+        ("item_groups", 0.006, 1), ("item_groups", 0.994, 99)])
+    def test_group_fraction_boosting_one_or_all_but_one_is_accepted(self, family, fraction, size):
+        spec = GenSpec(family, 20, 100, group_fraction=fraction)
+        boosted = boosted_rows(spec) if family == "user_groups" else boosted_cols(spec)
+        assert boosted.size == size
+        # the ungrouped families draw no groups, so their fraction is not read
+        GenSpec("random", 20, 100, group_fraction=0.01)
+
     def test_numpy_integer_seed_accepted(self):
         spec = GenSpec(family="random", m=4, n=5, seed=np.int64(3))
         np.testing.assert_array_equal(generate(spec).U, generate(GenSpec("random", 4, 5, 3)).U)
@@ -217,17 +235,46 @@ class TestBlockedSampler:
     def test_ppf_matches_truncnorm_at_the_clipped_edges(self, q, scale):
         loc = BASE_LOC + np.array([0.0, 0.3, 0.4999999, 0.5, 0.7, 5.0])
         alpha, beta = (0.0 - loc) / scale, (1.0 - loc) / scale
-        ours = feir.datagen._truncnorm_ppf(np.full(loc.shape, q), alpha, beta) * scale + loc
+        terms = feir.datagen._truncnorm_log_terms(alpha, beta)
+        ours = feir.datagen._truncnorm_ppf(np.full(loc.shape, q), *terms) * scale + loc
         expected = truncnorm.ppf(q, alpha, beta, loc=loc, scale=scale)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_blocks_crossing_rows_match_reference(self, monkeypatch, family):
-        # 97 divides neither the row length nor the matrix size
+    @pytest.mark.parametrize("block", [97, 160, 20])
+    def test_small_blocks_match_reference(self, monkeypatch, family, block):
+        # blocks of 1 row, of 3 rows with 1 left over for the last, and of
+        # 20, 20 and 11 columns of one row
         spec = GenSpec(family=family, m=37, n=51, seed=3)
         expected = _whole_matrix_generate(spec, monkeypatch)
-        monkeypatch.setattr(feir.datagen, "_BLOCK", 97)
+        monkeypatch.setattr(feir.datagen, "_BLOCK", block)
         _assert_same_bits(generate(spec), expected)
+
+    @pytest.mark.parametrize("family, per_loc, boosted", [
+        ("item_groups", 1000, 500), ("user_groups", 200, 100), ("su_pair", 1, 0),
+        ("random", 1, 0)])
+    @pytest.mark.parametrize("boost", [0.3, 0.7])
+    def test_special_functions_of_loc_run_once_per_loc_value(self, monkeypatch, family,
+                                                            per_loc, boosted, boost):
+        # the terms of the bounds take the same value at every draw of a
+        # row (column), so they are evaluated on loc's n, m or 1 values; per
+        # draw they would give the same bits, so only these sizes tell
+        sizes = []
+
+        def counted(f):
+            def wrapped(x):
+                sizes.append(np.size(x))
+                return f(x)
+            return wrapped
+
+        for name in ("log_ndtr", "ndtr"):
+            monkeypatch.setattr(feir.datagen, name, counted(getattr(feir.datagen, name)))
+        generate(GenSpec(family, 200, 1000, seed=1, group_boost=boost))
+        streams = len(FAMILIES[family][2])
+        # ndtr(a), ndtr(-b) and log_ndtr(a); at a boost >= 0.5, log_ndtr of
+        # the boosted group's a and b for the mass's b <= 0 case
+        left = 2 * boosted if boost >= 0.5 else 0
+        assert sum(sizes) == streams * (3 * per_loc + left)
 
     @pytest.mark.parametrize("family, m, n", [("su_pair", 500, 1000), ("user_groups", 1000, 300)])
     def test_peak_memory_is_a_small_multiple_of_the_output(self, family, m, n):
