@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CountMatrix, Policy, ScorePair, _is_finite_real, _is_int, _is_real,
-                   _logsumexp, row_softmax, top_k)
+from .core import (COUNT, FLAG, HALF_OPEN_UNIT, INTEGER, POSITIVE, CountMatrix, Policy,
+                   ScorePair, _logsumexp, check_settings, row_softmax, setting, top_k)
 
 
 @dataclass(frozen=True)
@@ -21,22 +21,11 @@ class CAConfig:
     """Entropic transport settings; larger epsilon spreads probability more
     evenly (and trades away utility)."""
 
-    epsilon: float
-    max_iters: int = 20000
-    marginal_tol: float = 1e-9
+    epsilon: float = setting(POSITIVE)
+    max_iters: int = setting(COUNT, 20000)
+    marginal_tol: float = setting(POSITIVE, 1e-9)
 
-    def __post_init__(self):
-        if not (_is_real(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
-        if not _is_finite_real(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
-        if not _is_int(self.max_iters) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (_is_real(self.marginal_tol) and self.marginal_tol > 0):
-            raise ValueError(f"marginal_tol must be a positive number, got {self.marginal_tol!r}")
-        if not _is_finite_real(self.marginal_tol):
-            raise ValueError(f"marginal_tol must be finite, got {self.marginal_tol!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))  # 1 and 1.0: one row key
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -44,16 +33,11 @@ class RRConfig:
     """Round-robin settings: suitability threshold tau in [0, 1), the shuffle
     seed, and whether an item may be allocated to at most one user overall."""
 
-    tau: float = 0.0
-    seed: int = 0
-    exclusive: bool = True
+    tau: float = setting(HALF_OPEN_UNIT, 0.0)
+    seed: int = setting(INTEGER, 0)
+    exclusive: bool = setting(FLAG, True)
 
-    def __post_init__(self):
-        if not (_is_real(self.tau) and 0.0 <= self.tau < 1.0):
-            raise ValueError(f"tau must be a number in [0, 1), got {self.tau!r}")
-        if not isinstance(self.exclusive, bool):
-            raise ValueError(f"exclusive must be true or false, got {self.exclusive!r}")
-        object.__setattr__(self, "tau", float(self.tau))  # 0 and 0.0: one row key
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)

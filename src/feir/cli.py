@@ -272,18 +272,13 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     interrupted run keeps the rows it finished and a re-run of a finished
     config does not write it. Failures that depend on the data become rows
     with an error status and the run continues. An unknown top-level key
-    (see TOP_LEVEL_KEYS), a seed or k that is not an integer, an unknown
-    method name, a key its adapter does not read (see METHODS), an unknown
-    dataset key, an explicit k outside [1, n], a shuffle d that is not an
-    integer >= 1, a list setting of the wrong shape (a weight_grid that is
-    not a list of 3- or 4-weight lists, epsilons that are not a list), or a
-    setting its dataclass rejects (a non-number real setting, a loss weight,
-    learning rate, convergence tolerance, CA epsilon, CA marginal tolerance
-    or group boost that is not finite, a group boost that leaves the
-    sampler's truncation interval no width, a group fraction that leaves a
-    group empty, a non-bool RR exclusive, a scaling size its kind does not
-    read) raises ValueError before anything is solved or written. Without
-    `ks`, the DEFAULT_KS up to n are run.
+    (see TOP_LEVEL_KEYS), method name, dataset key or method key (see
+    METHODS), a seed or k that is not an integer, an explicit k outside
+    [1, n], a shuffle d that is not an integer >= 1, a list setting of the
+    wrong shape (a weight_grid that is not a list of 3- or 4-weight lists,
+    epsilons that are not a list), or a setting its dataclass rejects (see
+    `core.check_settings`) raises ValueError before anything is solved or
+    written. Without `ks`, the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)

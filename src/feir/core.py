@@ -14,8 +14,9 @@ import os
 import secrets
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -335,6 +336,43 @@ def _is_finite_real(value) -> bool:
         return _is_real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+class Rule(NamedTuple):
+    """A setting's phrase in error messages, its test, and the type it is held as."""
+
+    phrase: str
+    test: Callable[[object], bool]
+    held: type
+
+
+POSITIVE = Rule("a positive number", lambda v: _is_real(v) and v > 0, float)
+NON_NEGATIVE = Rule("a number >= 0", lambda v: _is_real(v) and v >= 0, float)
+OPEN_UNIT = Rule("a number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1, float)
+HALF_OPEN_UNIT = Rule("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1, float)
+COUNT = Rule("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
+INTEGER = Rule("an integer", _is_int, int)
+FLAG = Rule("true or false", lambda v: isinstance(v, bool), bool)
+
+
+def setting(rule: Rule, default=MISSING):
+    """A settings dataclass field that `check_settings` holds to `rule`."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_settings(obj, prefix: str = "") -> None:
+    """Hold each `setting` field of the dataclass `obj` to its rule, raising ValueError
+    "{prefix}{name} must be {phrase}, got {value!r}" (or "... must be finite" for a real
+    setting), then store the value as the rule's type, so 1 and 1.0 are one value."""
+    for f in fields(obj):
+        if "rule" not in f.metadata:
+            continue
+        rule, value = f.metadata["rule"], getattr(obj, f.name)
+        if not rule.test(value):
+            raise ValueError(f"{prefix}{f.name} must be {rule.phrase}, got {value!r}")
+        if rule.held is float and not _is_finite_real(value):
+            raise ValueError(f"{prefix}{f.name} must be finite, got {value!r}")
+        object.__setattr__(obj, f.name, rule.held(value))
 
 
 def _frozen_copy(arr, dtype=float) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .core import ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp
+from .core import INTEGER, OPEN_UNIT, POSITIVE, ScorePair, _logsumexp, check_settings, setting
 
 # family -> (default (m, n), None where both must be given; scale; the seed
 # stream of U, then of S when S is drawn on its own)
@@ -42,12 +42,17 @@ _EDGE = 1e-12  # keep inverse-CDF output strictly inside (0, 1)
 
 @dataclass(frozen=True)
 class GenSpec:
+    """One synthetic dataset. A group_boost from about 1e11 up to the refused
+    9e15 should put every boosted score at the clip 1 - 1e-12, but the
+    sampler's `ppf * scale + loc` cancels there and gives values as coarse
+    as 0.9375, 0.5 or 1e-12, as scipy's `truncnorm.ppf` does."""
+
     family: str
-    m: int | None = None
-    n: int | None = None
-    seed: int = 0
-    group_fraction: float = 0.5
-    group_boost: float = 0.3
+    m: int | None = setting(INTEGER, None)
+    n: int | None = setting(INTEGER, None)
+    seed: int = setting(INTEGER, 0)
+    group_fraction: float = setting(OPEN_UNIT, 0.5)
+    group_boost: float = setting(POSITIVE, 0.3)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -58,19 +63,9 @@ class GenSpec:
                 raise ValueError(f"family {self.family!r} needs explicit m and n")
             object.__setattr__(self, "m", dims[0] if self.m is None else self.m)
             object.__setattr__(self, "n", dims[1] if self.n is None else self.n)
-        for name in ("m", "n", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        check_settings(self)
         if self.m < 2 or self.n < 2:
             raise ValueError("need m >= 2 and n >= 2")
-        if not (_is_real(self.group_fraction) and 0.0 < self.group_fraction < 1.0):
-            raise ValueError(f"group_fraction must be a number in (0, 1), got {self.group_fraction!r}")
-        if not (_is_real(self.group_boost) and self.group_boost > 0.0):
-            raise ValueError(f"group_boost must be a positive number, got {self.group_boost!r}")
-        if not _is_finite_real(self.group_boost):
-            raise ValueError(f"group_boost must be finite, got {self.group_boost!r}")
         if self.family in ("item_groups", "user_groups"):
             size, unit = (self.n, "columns") if self.family == "item_groups" else (self.m, "rows")
             boosted = int(round(self.group_fraction * size))
@@ -79,7 +74,7 @@ class GenSpec:
                                  f"{self.group_fraction!r}, which boosts {boosted} of {size} {unit}")
             # the sampler's bounds (0 - loc) / scale and (1 - loc) / scale
             # round to one float once the boosted mean passes about 2^53
-            loc, scale = BASE_LOC + float(self.group_boost), FAMILIES[self.family][1]
+            loc, scale = BASE_LOC + self.group_boost, FAMILIES[self.family][1]
             if not (0.0 - loc) / scale < (1.0 - loc) / scale:
                 raise ValueError(f"group_boost leaves (0, 1) no width at float precision, "
                                  f"got {self.group_boost!r}")

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .core import _is_finite_real, _is_real
+from .core import NON_NEGATIVE, check_settings, setting
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,13 @@ class LossWeights:
     """Term weights (envy, inferiority, negative utility, simplex penalty),
     held as finite floats; a weight of 0 leaves its term out of the objective."""
 
-    w1: float
-    w2: float
-    w3: float
-    w4: float = 0.0
+    w1: float = setting(NON_NEGATIVE)
+    w2: float = setting(NON_NEGATIVE)
+    w3: float = setting(NON_NEGATIVE)
+    w4: float = setting(NON_NEGATIVE, 0.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            w = getattr(self, f.name)
-            if not (_is_real(w) and w >= 0):
-                raise ValueError(f"loss weight {f.name} must be a number >= 0, got {w!r}")
-            if not _is_finite_real(w):  # inf, or an integer too large for a float
-                raise ValueError(f"loss weight {f.name} must be finite, got {w!r}")
-            object.__setattr__(self, f.name, float(w))  # 1 and 1.0: one row key
+        check_settings(self, prefix="loss weight ")
         if self.w1 == self.w2 == self.w3 == 0:
             raise ValueError("at least one of the envy/inferiority/utility weights must be positive")
 

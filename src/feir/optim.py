@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DimensionError, Policy, ScorePair, _is_finite_real, _is_int, _is_real, row_softmax
+from .core import (COUNT, INTEGER, NON_NEGATIVE, POSITIVE, DimensionError, Policy, ScorePair,
+                   check_settings, row_softmax, setting)
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -70,11 +71,12 @@ class Scaling:
         reads = SCALING_KINDS[self.kind]
         for name in ("b", "m_s", "n_s"):
             value = getattr(self, name)
-            if name in reads and (not _is_int(value) or value < 1):
+            if name in reads and not COUNT.test(value):
                 raise ValueError(f"scaling {self.kind!r} requires an integer {name} >= 1, "
                                  f"got {value!r}")
             if name not in reads and value is not None:
                 raise ValueError(f"scaling {self.kind!r} does not read {name}, got {value!r}")
+            object.__setattr__(self, name, None if value is None else int(value))
 
     def validate_dims(self, m: int, n: int) -> None:
         """Reject a size this kind reads that exceeds the instance."""
@@ -148,26 +150,17 @@ def make_training_view(scores: ScorePair, scaling: Scaling, step: int, seed: int
 
 @dataclass(frozen=True)
 class TrainConfig:
-    k: int
+    k: int = setting(COUNT)
     weights: LossWeights
-    learning_rate: float = 10.0
-    max_steps: int = 2000
-    convergence_tol: float = 1e-6
+    learning_rate: float = setting(POSITIVE, 10.0)
+    max_steps: int = setting(COUNT, 2000)
+    convergence_tol: float = setting(NON_NEGATIVE, 1e-6)
     parametrization: str = "logits"
     scaling: Scaling = field(default_factory=Scaling)
-    seed: int = 0
+    seed: int = setting(INTEGER, 0)
 
     def __post_init__(self):
-        if not (_is_real(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
-        if not _is_finite_real(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
-        if not _is_int(self.max_steps) or self.max_steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not (_is_real(self.convergence_tol) and self.convergence_tol >= 0):
-            raise ValueError(f"convergence_tol must be a number >= 0, got {self.convergence_tol!r}")
-        if not _is_finite_real(self.convergence_tol):
-            raise ValueError(f"convergence_tol must be finite, got {self.convergence_tol!r}")
+        check_settings(self)
         if self.parametrization not in PARAMETRIZATIONS:
             raise ValueError(f"unknown parametrization {self.parametrization!r}")
 

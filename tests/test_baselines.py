@@ -200,3 +200,9 @@ class TestRoundRobin:
     def test_exclusive_must_be_a_bool(self, exclusive):
         with pytest.raises(ValueError, match="exclusive must be true or false"):
             RRConfig(exclusive=exclusive)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            RRConfig(seed=seed)
+        assert type(RRConfig(seed=np.int64(3)).seed) is int

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +597,33 @@ class TestRun:
         for method, cfg in block["methods"].items():
             assert set(cfg) <= set(feir.cli.METHODS[method][1]), method
         Scaling(**block["methods"]["feir"]["scaling"])
+        # the settings table: one row per key of each section, and each key
+        # of a settings dataclass with its field's default and rule
+        table = readme.split("| Section | Key | Default | Must be |\n", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[1:]]
+        sections = {"dataset": (GenSpec, feir.cli.DATASET_GEN_KEYS),
+                    "scaling": (Scaling, [f.name for f in fields(Scaling)])}
+        sections.update((method, (cls, feir.cli.METHODS[method][1])) for method, cls in
+                        (("feir", TrainConfig), ("shuffle", None), ("ca", CAConfig),
+                         ("rr", RRConfig)))
+        assert {name: [key.strip("`") for section, key, *_ in rows if section == f"`{name}`"]
+                for name in sections} == {name: list(keys) for name, (_, keys) in sections.items()}
+        for section, key, default_cell, rule_cell in rows:
+            cls = sections[section.strip("`")][0]
+            field = {f.name: f for f in (fields(cls) if cls else ())}.get(key.strip("`"))
+            if field is None:
+                continue  # a grid key, not a dataclass field
+            if field.default is MISSING and field.default_factory is MISSING:
+                assert default_cell == "required", key
+            else:
+                default = field.default if field.default is not MISSING else field.default_factory()
+                value = json.loads(default_cell.split("`")[1])
+                if is_dataclass(default):
+                    value = type(default)(**value)
+                assert (value, type(value)) == (default, type(default)), key
+            if "rule" in field.metadata:
+                assert rule_cell.split("; ")[0] == field.metadata["rule"].phrase, key
 
     def test_feir_scaling_config_plumbed_through(self, tmp_path):
         config = {

@@ -90,6 +90,9 @@ class TestGenSpec:
             (GenSpec("random", 30, 40, seed=5), "random(m=30,n=40,seed=5,loc=0.5,scale=0.25)"),
             (GenSpec("user_groups", np.int64(8), 12, seed=np.int64(3)),
              "user_groups(m=8,n=12,seed=3,loc=0.5,scale=0.1,fraction=0.5,boost=0.3)"),
+            # a real setting is held as a float, so a JSON integer boost reads 1.0
+            (GenSpec("user_groups", group_boost=1),
+             "user_groups(m=20,n=100,seed=0,loc=0.5,scale=0.1,fraction=0.5,boost=1.0)"),
         ]
         assert [spec.label() for spec, _ in cases] == [label for _, label in cases]
 

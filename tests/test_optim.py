@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -157,6 +158,27 @@ class TestTrainConfig:
             TrainConfig(k=1, weights=w, learning_rate=bad)
         with pytest.raises(ValueError, match="convergence_tol must be finite"):
             TrainConfig(k=1, weights=w, convergence_tol=bad)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", True), ("k", 0), ("k", "2"), ("seed", 1.5), ("seed", True)])
+    def test_k_and_seed_must_be_integers(self, field, value):
+        settings = {"k": 2, "weights": LossWeights(1, 1, 1), field: value}
+        phrase = "an integer >= 1" if field == "k" else "an integer"
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {phrase}, got {value!r}")):
+            TrainConfig(**settings)
+
+    def test_settings_held_as_their_types(self):
+        config = TrainConfig(k=np.int64(2), weights=LossWeights(1, 1, 1), learning_rate=10,
+                             max_steps=np.int64(5), convergence_tol=0, seed=np.int64(4),
+                             scaling=Scaling("minibatch", b=np.int64(3)))
+        assert [type(getattr(config, name)) for name in
+                ("k", "learning_rate", "max_steps", "convergence_tol", "seed")] == [
+            int, float, int, float, int]
+        assert type(config.scaling.b) is int
+        assert config == TrainConfig(k=2, weights=LossWeights(1.0, 1.0, 1.0), learning_rate=10.0,
+                                     max_steps=5, convergence_tol=0.0, seed=4,
+                                     scaling=Scaling("minibatch", b=3))
 
 
 class TestFit:
