@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import (ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp, _replacing,
-                   load_scores, save_matrix, top_k, write_sidecar)
+from .core import (Policy, ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp,
+                   _replacing, load_scores, save_matrix, top_k, write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -116,7 +116,6 @@ def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
         raise ValueError("generate needs a dataset with a 'family' entry")
     spec = _gen_spec(config)
     scores = datagen.generate(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, M in (("U", scores.U), ("S", scores.S))[:1 if scores.shared else 2]:
         path = out_dir / f"{spec.family}_{name}.csv"
@@ -172,11 +171,11 @@ def _write_solutions_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _naive_runs(scores, cfg, k, naive_counts):
-    yield {}, lambda seed: (naive_counts, None)
+def _naive_runs(scores, cfg, k):
+    return [({}, lambda seed: baselines.naive(scores, k))]
 
 
-def _feir_runs(scores, cfg, k, naive_counts):
+def _feir_runs(scores, cfg, k):
     settings = {key: value for key, value in cfg.items() if key != "weight_grid"}
     if "scaling" in settings:
         _reject_unknown("feir scaling", settings["scaling"], _settings_keys(Scaling))
@@ -191,54 +190,44 @@ def _feir_runs(scores, cfg, k, naive_counts):
         raise ValueError("feir weight_grid must be a non-empty list of [w1, w2, w3] or "
                          f"[w1, w2, w3, w4] lists, got {grid_cfg!r}")
     base = TrainConfig(k=k, weights=grid[0], **settings)
-    for weights in grid:
-        def solve(seed, weights=weights):
-            policy = fit(scores, replace(base, weights=weights, seed=seed)).final_policy
-            return top_k(policy.P, k), policy
-
-        yield asdict(weights), solve
+    return [(asdict(weights), lambda seed, weights=weights:
+             fit(scores, replace(base, weights=weights, seed=seed)).final_policy)
+            for weights in grid]
 
 
-def _shuffle_runs(scores, cfg, k, naive_counts):
+def _shuffle_runs(scores, cfg, k):
     d = cfg.get("d")
     if d is None:
         d = min(3 * k, scores.n)
     elif not _is_int(d) or d < 1:
         raise ValueError(f"shuffle d must be an integer >= 1, got {d!r}")
-    yield {"d": int(d)}, lambda seed: (baselines.shuffle(scores, k, d=d, seed=seed), None)
+    return [({"d": int(d)}, lambda seed: baselines.shuffle(scores, k, d=d, seed=seed))]
 
 
-def _ca_runs(scores, cfg, k, naive_counts):
+def _ca_runs(scores, cfg, k):
     settings = {key: value for key, value in cfg.items() if key != "epsilons"}
     epsilons = cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])
     if not _is_list(epsilons):
         raise ValueError(f"ca epsilons must be a list of numbers, got {epsilons!r}")
     ca_cfgs = [baselines.CAConfig(epsilon=eps, **settings) for eps in epsilons]
-    for ca_cfg in ca_cfgs:
-        def solve(seed, ca_cfg=ca_cfg):
-            policy = baselines.congestion_alleviation(scores, k, ca_cfg)
-            return top_k(policy.P, k), policy
-
-        yield {"epsilon": ca_cfg.epsilon}, solve
+    return [({"epsilon": ca_cfg.epsilon}, lambda seed, ca_cfg=ca_cfg:
+             baselines.congestion_alleviation(scores, k, ca_cfg)) for ca_cfg in ca_cfgs]
 
 
-def _rr_runs(scores, cfg, k, naive_counts):
+def _rr_runs(scores, cfg, k):
     rr_cfg = baselines.RRConfig(**cfg)
-
-    def solve(seed):
-        return baselines.round_robin(scores.U, scores.S, k, replace(rr_cfg, seed=seed)), None
-
-    yield {"tau": rr_cfg.tau}, solve
+    return [({"tau": rr_cfg.tau}, lambda seed:
+             baselines.round_robin(scores.U, scores.S, k, replace(rr_cfg, seed=seed)))]
 
 
 # Method name -> (adapter, the config keys it reads), in run order. An
-# adapter(scores, method_cfg, k, naive_counts) yields one (params, solve) pair
-# per run, where solve(seed) returns (counts, policy or None). Any other key
-# in a method's config is an error. A method's keys are its grid key and the
-# fields of its settings dataclass, less those the run sets per solve. An
-# adapter builds its settings objects before its first yield, so a setting
-# that is invalid whatever the data raises there; only solve's failures
-# become error rows.
+# adapter(scores, method_cfg, k) builds its settings objects and returns one
+# (params, solve) pair per run, so a setting that is invalid whatever the data
+# raises before anything is solved. solve(seed) returns a CountMatrix, or a
+# Policy that cmd_run rounds to its top-k lists; only solve's failures become
+# error rows. Any other key in a method's config is an error. A method's keys
+# are its grid key and the fields of its settings dataclass, less those the
+# run sets per solve.
 METHODS = {
     "naive": (_naive_runs, ()),
     "feir": (_feir_runs, ("weight_grid", *_settings_keys(TrainConfig, "k", "weights", "seed"))),
@@ -254,7 +243,6 @@ def _save_artifacts(save_dir, point, counts, policy):
     stem = f"{point.method}_k{point.k}_" + hashlib.sha256(
         point.params_json().encode()
     ).hexdigest()[:8]
-    save_dir.mkdir(parents=True, exist_ok=True)
     save_matrix(counts.C, save_dir / f"{stem}_counts.csv")
     if policy is not None:
         save_matrix(policy.P, save_dir / f"{stem}_policy.csv")
@@ -271,14 +259,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     old rows. solutions.csv is replaced atomically after each new row, so an
     interrupted run keeps the rows it finished and a re-run of a finished
     config does not write it. Failures that depend on the data become rows
-    with an error status and the run continues. An unknown top-level key
-    (see TOP_LEVEL_KEYS), method name, dataset key or method key (see
-    METHODS), a seed or k that is not an integer, an explicit k outside
-    [1, n], a shuffle d that is not an integer >= 1, a list setting of the
-    wrong shape (a weight_grid that is not a list of 3- or 4-weight lists,
-    epsilons that are not a list), or a setting its dataclass rejects (see
-    `core.check_settings`) raises ValueError before anything is solved or
-    written. Without `ks`, the DEFAULT_KS up to n are run.
+    with an error status and the run continues. A config that is wrong
+    whatever the data raises ValueError before anything is solved, and no
+    file or directory is written; the README's "Command line" section lists
+    each refusal and the settings table. Without `ks`, the DEFAULT_KS up to n
+    are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -306,36 +291,41 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     ks = sorted({int(k) for k in ks})
     if not ks:
         raise ValueError(f"no valid k for n={scores.n}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    plan = []
+    for k in ks:
+        for method, (adapter, _) in METHODS.items():
+            if method in methods:
+                for params, solve in adapter(scores, methods[method], k):
+                    # the naive list is deterministic; its row carries the master seed
+                    seed = master_seed if method == "naive" else derive_seed(
+                        master_seed, method, params, k
+                    )
+                    plan.append((method, params, k, seed, solve))
+
     solutions_path = out_dir / "solutions.csv"
     rows = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
     seen = {_row_key(r) for r in rows}
     save_dir = out_dir / "matrices" if save_matrices else None
-
-    for k in ks:
-        naive_counts = baselines.naive(scores, k)
-        naive_sys = metrics.system_metrics(scores.U, scores.S, naive_counts)
-        # every adapter builds its settings before the first solve at this k
-        runs = [(method, params, solve)
-                for method, (adapter, _) in METHODS.items() if method in methods
-                for params, solve in adapter(scores, methods[method], k, naive_counts)]
-        for method, params, solve in runs:
-            # the naive list is deterministic; its row carries the master seed
-            seed = master_seed if method == "naive" else derive_seed(
-                master_seed, method, params, k
-            )
-            key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                counts, policy = solve(seed)
-                point = pareto.make_solution(method, params, k, seed, scores, counts, naive_sys)
-                _save_artifacts(save_dir, point, counts, policy)
-            except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
-                point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")
-            rows.append(_solution_row(point))
-            _write_solutions_csv(solutions_path, rows)
+    naive_k = naive_sys = None
+    for method, params, k, seed, solve in plan:
+        key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            solved = solve(seed)
+            policy = solved if isinstance(solved, Policy) else None
+            counts = solved if policy is None else top_k(policy.P, k)
+            if naive_k != k:  # the normaliser, once per k that has a row to solve;
+                # naive runs first at each k, so a new naive row lends its list
+                naive = counts if method == "naive" else baselines.naive(scores, k)
+                naive_k, naive_sys = k, metrics.system_metrics(scores.U, scores.S, naive)
+            point = pareto.make_solution(method, params, k, seed, scores, counts, naive_sys)
+            _save_artifacts(save_dir, point, counts, policy)
+        except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
+            point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")
+        rows.append(_solution_row(point))
+        _write_solutions_csv(solutions_path, rows)
 
     if not solutions_path.exists():  # a config with no runs still gets its header
         _write_solutions_csv(solutions_path, rows)
@@ -384,7 +374,6 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     points = [_solution_point(r) for r in rows]
     ks = sorted({p.k for p in points})
     methods = sorted({p.method for p in points})
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     pareto_path = out_dir / "pareto.csv"
     hv_path = out_dir / "hv_table.csv"

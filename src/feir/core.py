@@ -104,7 +104,8 @@ def save_matrix(matrix, path) -> None:
     writes the bytes of `%.17g` with numpy arithmetic, so the whole file is
     never held in memory.
 
-    The file is replaced atomically (see `_replacing`).
+    The file is replaced atomically, and its directory created if missing
+    (see `_replacing`).
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.size == 0:
@@ -132,10 +133,12 @@ def _replacing(path, binary: bool = False):
 
     Everything is written to a temporary file in the target's directory
     (binary, or UTF-8 text with no newline translation), which `os.replace`
-    then moves over the target. An error or interrupt in the block leaves
-    any earlier file at `path` as it was and no temporary file behind.
+    then moves over the target; that directory and its parents are created
+    if missing. An error or interrupt in the block leaves any earlier file
+    at `path` as it was and no temporary file behind.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
     try:

@@ -162,8 +162,14 @@ class TestRun:
         fits = []
         real_fit = feir.cli.fit
         monkeypatch.setattr(feir.cli, "fit", lambda *a, **kw: fits.append(a) or real_fit(*a, **kw))
+        # nor is the naive normaliser evaluated, as no k has a row to solve
+        evaluations = []
+        real_system_metrics = feir.cli.metrics.system_metrics
+        monkeypatch.setattr(feir.cli.metrics, "system_metrics",
+                            lambda *a, **kw: evaluations.append(a) or real_system_metrics(*a, **kw))
         second = cmd_run(config, out).read_bytes()
         assert fits == []
+        assert evaluations == []
         assert second == first
         # not rewritten either: a replaced file would have a new inode
         assert (out / "solutions.csv").stat().st_ino == inode
@@ -266,7 +272,7 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             cmd_run(config, tmp_path / "out")
         assert fits == []
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_methods_required(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1], "methods": {}}
@@ -281,7 +287,7 @@ class TestRun:
         }
         with pytest.raises(ValueError, match=r"\['FEIR', 'naiv'\].*'naive', 'feir'"):
             cmd_run(config, tmp_path / "out")
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_empty_weight_grid_rejected(self, tmp_path, intro_dataset):
         config = {
@@ -291,7 +297,7 @@ class TestRun:
         }
         with pytest.raises(ValueError, match="weight_grid"):
             cmd_run(config, tmp_path / "out")
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_file(self, tmp_path):
         config = {"dataset": {"u_path": str(tmp_path / "ghost.csv")}, "methods": {"naive": {}}}
@@ -323,7 +329,7 @@ class TestRun:
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [], "methods": {"naive": {}}}
         with pytest.raises(ValueError, match="no valid k for n=3"):
             cmd_run(config, tmp_path / "out")
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_save_matrices(self, tmp_path, intro_dataset):
         config = {
@@ -403,7 +409,7 @@ class TestRun:
             cmd_run(config, tmp_path / "out")
         assert str(err.value) == f"unknown {method} config keys {unknown}; valid keys are {valid}"
         assert fits == []
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dataset, unknown, valid", [
         ({"family": "random", "m": 4, "n": 5, "sead": 3}, ["sead"],
@@ -420,7 +426,7 @@ class TestRun:
         with pytest.raises(ValueError) as err:
             cmd_run(config, tmp_path / "out")
         assert str(err.value) == f"unknown dataset config keys {unknown}; valid keys are {valid}"
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_needs_a_form(self, tmp_path):
         config = {"dataset": {"m": 4, "n": 5}, "ks": [1], "methods": {"naive": {}}}
@@ -442,7 +448,7 @@ class TestRun:
         assert str(err.value) == ("unknown feir scaling config keys ['bb']; "
                                   "valid keys are ['kind', 'b', 'm_s', 'n_s']")
         assert fits == []
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, bad, fixed", [
         ("ca", {"epsilons": [0.01], "marginal_tol": 0}, {"epsilons": [0.01], "marginal_tol": 1e-9}),
@@ -463,7 +469,7 @@ class TestRun:
         with pytest.raises(ValueError):
             cmd_run(config, out)
         assert fits == []
-        assert not (out / "solutions.csv").exists()
+        assert not out.exists()
         # the corrected config, run into the same directory, gets no stale error row
         config["methods"][method] = fixed
         rows = read_rows(cmd_run(config, out))
@@ -472,6 +478,7 @@ class TestRun:
     @pytest.mark.parametrize("section, bad, message", [
         ("feir", {"max_steps": 3.5}, r"max_steps must be an integer >= 1, got 3\.5"),
         ("feir", {"max_steps": True}, r"max_steps must be an integer >= 1, got True"),
+        ("feir", {"max_steps": 0}, r"max_steps must be an integer >= 1, got 0"),
         ("feir", {"scaling": {"kind": "minibatch", "b": 2.5}},
          r"scaling 'minibatch' requires an integer b >= 1, got 2\.5"),
         ("ca", {"max_iters": 5.5}, r"max_iters must be an integer >= 1, got 5\.5"),
@@ -524,8 +531,9 @@ class TestRun:
         ("ca", {"marginal_tol": float("inf")}, r"marginal_tol must be finite, got inf"),
         ("dataset", {"group_boost": 10**400}, r"group_boost must be finite"),
         ("dataset", {"group_boost": float("inf")}, r"group_boost must be finite, got inf"),
-    ], ids=["max_steps_float", "max_steps_bool", "scaling_b_float", "ca_max_iters_float",
-            "shuffle_d_float", "rr_tau_str", "dataset_m_float", "dataset_n_str",
+    ], ids=["max_steps_float", "max_steps_bool", "max_steps_zero", "scaling_b_float",
+            "ca_max_iters_float", "shuffle_d_float", "rr_tau_str", "dataset_m_float",
+            "dataset_n_str",
             "learning_rate_str", "learning_rate_bool", "convergence_tol_str", "weight_bool",
             "weight_str", "ca_marginal_tol_str", "ca_epsilon_str", "ca_epsilon_bool",
             "group_fraction_str", "group_boost_bool", "scaling_none_b", "scaling_minibatch_n_s",
@@ -546,7 +554,7 @@ class TestRun:
         with pytest.raises(ValueError, match=message):
             cmd_run(config, tmp_path / "out")
         assert fits == []
-        assert not (tmp_path / "out" / "solutions.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fraction", [0.01, 0.99])
     def test_group_fraction_leaving_a_group_empty_raises_before_writing(self, tmp_path,

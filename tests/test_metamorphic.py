@@ -1,0 +1,61 @@
+"""Metamorphic checks of the index code: relations between two evaluations
+that must hold at any size, with no oracle to compute the answer.
+
+The lists come from `top_k` of continuous scores, which hold no ties, so
+`top_k`'s lowest-index tie break never decides a list. S is rounded to one
+decimal, so tied suitabilities, and tie runs in the sorted kernels, are
+common.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from feir.core import top_k
+from feir.losses import LossWeights
+from feir.metrics import competition_metrics, system_metrics
+from feir.optim import loss_and_grad
+
+
+def instance(seed, m, n):
+    """Continuous U and list scores W, and a one-decimal S."""
+    rng = np.random.default_rng(seed)
+    U, W = rng.uniform(0.01, 0.99, (2, m, n))
+    return U, np.round(rng.uniform(0.0, 1.0, (m, n)), 1), W, rng
+
+
+class TestPermutation:
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 10), st.data())
+    def test_relabelling_users_and_items_moves_only_the_labels(self, seed, m, n, data):
+        k = data.draw(st.integers(1, n))
+        U, S, W, rng = instance(seed, m, n)
+        users, items = rng.permutation(m), rng.permutation(n)
+        C = top_k(W, k).C
+        moved = np.ix_(users, items)
+        C_moved = top_k(W[moved], k).C
+        assert np.array_equal(C_moved, C[moved])
+
+        before = system_metrics(U, S, C)
+        after = system_metrics(U[moved], S[moved], C_moved)
+        assert vars(after) == pytest.approx(vars(before), rel=1e-14, abs=0.0)
+
+        comp, comp_moved = competition_metrics(S, C, k), competition_metrics(S[moved], C_moved, k)
+        # rival counts are sums of ones, exact in any order
+        assert comp_moved.mean_rank_per_user.tolist() == comp.mean_rank_per_user[users].tolist()
+        np.testing.assert_allclose(comp_moved.mean_gap_per_user, comp.mean_gap_per_user[users],
+                                   rtol=1e-14, atol=0.0)
+
+
+class TestTrainingMatchesEvaluation:
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 10))
+    def test_one_hot_policy_at_k1_scores_as_its_lists(self, seed, m, n):
+        # two code paths: the training kernel on a dense P, and the metrics'
+        # pick layout on the count matrix; they sum in different orders
+        U, S, W, _ = instance(seed, m, n)
+        C = top_k(W, 1).C
+        losses, _ = loss_and_grad(U, S, C.astype(float), 1, LossWeights(1.0, 1.0, 1.0),
+                                  "direct")
+        sys = system_metrics(U, S, C)
+        expected = pytest.approx((sys.utility, sys.envy, sys.inferiority), rel=1e-14, abs=0.0)
+        assert (-losses.neg_utility_loss, losses.envy_loss, losses.inferiority_loss) == expected
