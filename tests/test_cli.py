@@ -819,6 +819,46 @@ class TestReport:
         overall = [r for r in rows if r["axis"].startswith("overall_norm")]
         assert overall and overall[0]["hv_naive"] == UNDEFINED_CELL
 
+    def test_axis_without_ref_or_threshold_is_undefined(self, solutions, tmp_path):
+        axis = {"x": "envy", "y": "utility"}
+        pareto_path, hv_path = cmd_report(solutions, {"axes": [axis]}, tmp_path / "rep")
+        assert read_rows(pareto_path)  # the fronts are still written
+        rows = read_rows(hv_path)
+        assert [r["k"] for r in rows] == ["2", "3"]
+        for row in rows:
+            assert set(row) == {"k", "axis", "hv_ca", "min_ca", "hv_feir", "min_feir",
+                                "hv_naive", "min_naive"}
+            assert all(row[c] == UNDEFINED_CELL for c in row if c not in ("k", "axis"))
+
+    def test_method_with_only_error_rows_at_one_k(self, tmp_path):
+        # m*k = 12 > n = 10 at k = 3, so exclusive RR fails there only
+        config = {
+            "seed": 2,
+            "dataset": {"family": "random", "m": 4, "n": 10},
+            "ks": [2, 3],
+            "methods": {"naive": {}, "rr": {}},
+        }
+        solutions = cmd_run(config, tmp_path / "out")
+        assert [r["status"].startswith("error") for r in read_rows(solutions)] == [
+            False, False, False, True]
+        axis = {"x": "envy", "y": "utility", "ref": [10.0, 0.0], "threshold": 0.0}
+        pareto_path, hv_path = cmd_report(solutions, {"axes": [axis]}, tmp_path / "rep")
+        at_2, at_3 = read_rows(hv_path)
+        assert (at_2["k"], at_3["k"]) == ("2", "3")
+        for cell in ("hv_rr", "min_rr", "hv_naive", "min_naive"):
+            float(at_2[cell])
+        assert (at_3["hv_rr"], at_3["min_rr"]) == (UNDEFINED_CELL, UNDEFINED_CELL)
+        float(at_3["hv_naive"]), float(at_3["min_naive"])
+        fronts = {(r["k"], r["method"]) for r in read_rows(pareto_path)}
+        assert fronts == {("2", "naive"), ("2", "rr"), ("3", "naive")}
+
+    def test_header_only_solutions_give_header_only_report(self, tmp_path):
+        solutions = tmp_path / "solutions.csv"
+        solutions.write_text(",".join(SOLUTION_COLUMNS) + "\r\n", newline="")
+        pareto_path, hv_path = cmd_report(solutions, None, tmp_path / "rep")
+        assert pareto_path.read_bytes() == b"k,x_metric,y_metric,method,x,y,params,seed\r\n"
+        assert hv_path.read_bytes() == b"k,axis\n"
+
     def test_schema_validation(self, tmp_path):
         bad = tmp_path / "solutions.csv"
         bad.write_text("method,k\nnaive,1\n")
