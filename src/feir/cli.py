@@ -145,11 +145,11 @@ def _solution_point(row: dict) -> pareto.SolutionPoint:
     """The point a solutions.csv row holds, the inverse of _solution_row."""
 
     def num(col):
-        return float(row[col]) if row.get(col) else None
+        return float(row[col]) if row[col] else None
 
     return pareto.SolutionPoint(
-        method=row["method"], params={c: num(c) for c in PARAM_COLUMNS if row.get(c)},
-        k=int(row["k"]), seed=int(row["seed"]), status=row.get("status", "ok"),
+        method=row["method"], params={c: num(c) for c in PARAM_COLUMNS if row[c]},
+        k=int(row["k"]), seed=int(row["seed"]), status=row["status"],
         **{c: num(c) for c in METRIC_COLUMNS},
     )
 
@@ -159,8 +159,18 @@ def _row_key(row: dict) -> tuple:
 
 
 def _read_solutions_csv(path: Path) -> list[dict]:
+    """The rows of a solutions.csv whose header holds exactly SOLUTION_COLUMNS,
+    in any order; any other header raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        header = set(reader.fieldnames or ())
+        missing = sorted(set(SOLUTION_COLUMNS) - header)
+        if missing:
+            raise ValueError(f"solutions file lacks columns: {missing}")
+        unknown = sorted(header - set(SOLUTION_COLUMNS))
+        if unknown:
+            raise ValueError(f"solutions file has unknown columns: {unknown}")
+        return list(reader)
 
 
 def _write_solutions_csv(path: Path, rows: list[dict]) -> None:
@@ -260,10 +270,11 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     interrupted run keeps the rows it finished and a re-run of a finished
     config does not write it. Failures that depend on the data become rows
     with an error status and the run continues. A config that is wrong
-    whatever the data raises ValueError before anything is solved, and no
-    file or directory is written; the README's "Command line" section lists
-    each refusal and the settings table. Without `ks`, the DEFAULT_KS up to n
-    are run.
+    whatever the data, or an existing solutions.csv whose header is not
+    SOLUTION_COLUMNS in some order, raises ValueError before anything is
+    solved, and no file or directory is written; the README's "Command
+    line" section lists each refusal and the settings table. Without `ks`,
+    the DEFAULT_KS up to n are run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -338,11 +349,13 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     For each k and configured axis pair the report holds every method's
     Pareto front, its hypervolume against the configured reference point, and
     the minimum unfairness among solutions whose y metric exceeds the
-    threshold. Both files are replaced atomically. An
-    unknown report or axis key, an axis metric that solutions.csv does not
-    hold (see METRIC_COLUMNS), a `ref` that is not two finite numbers or a
-    `threshold` that is not a number raises ValueError before anything is
-    written.
+    threshold. Both files are written in one pass and replace their targets
+    together once both are whole, so an interrupted report leaves the earlier
+    pair, or none, as it was. An unknown report or axis key, an axis metric
+    that solutions.csv does not hold (see METRIC_COLUMNS), a `ref` that is
+    not two finite numbers, a `threshold` that is not a number, or a
+    solutions.csv whose header is not exactly SOLUTION_COLUMNS (in any order)
+    raises ValueError before anything is written.
     """
     report_config = report_config or {}
     _reject_unknown("report", report_config, REPORT_KEYS)
@@ -363,38 +376,31 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
         if threshold is not None and not _is_real(threshold):
             raise ValueError(f"report axis {name}: threshold must be a number, "
                              f"got {threshold!r}")
-    if not Path(solutions_path).exists():
-        raise FileNotFoundError(solutions_path)
-    rows = _read_solutions_csv(Path(solutions_path))
-    required = set(SOLUTION_COLUMNS)
-    if rows:
-        missing = required - set(rows[0])
-        if missing:
-            raise ValueError(f"solutions file lacks columns: {sorted(missing)}")
-    points = [_solution_point(r) for r in rows]
-    ks = sorted({p.k for p in points})
-    methods = sorted({p.method for p in points})
+    groups = {}  # (k, method) -> that method's points at k, in file order
+    for row in _read_solutions_csv(Path(solutions_path)):
+        p = _solution_point(row)
+        groups.setdefault((p.k, p.method), []).append(p)
+    ks = sorted({k for k, _ in groups})
+    methods = sorted({method for _, method in groups})
 
     pareto_path = out_dir / "pareto.csv"
     hv_path = out_dir / "hv_table.csv"
-    with _replacing(pareto_path) as fh:
+    with _replacing(pareto_path) as fh, _replacing(hv_path) as hv_fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "x_metric", "y_metric", "method", "x", "y", "params", "seed"])
-        hv_rows = []
+        hv_fh.write(",".join(["k", "axis", *(f"{cell}_{method}" for method in methods
+                                             for cell in ("hv", "min"))]) + "\n")
         for k in ks:
-            at_k = [p for p in points if p.k == k]
             for axis in axes:
                 x_m, y_m = axis["x"], axis["y"]
-                ref = axis.get("ref")
-                threshold = axis.get("threshold")
-                hv_row = {"k": str(k), "axis": f"{x_m}_vs_{y_m}"}
+                ref, threshold = axis.get("ref"), axis.get("threshold")
+                cells = [str(k), f"{x_m}_vs_{y_m}"]
                 for method in methods:
-                    mine = [p for p in at_k if p.method == method]
+                    mine = groups.get((k, method), [])
                     try:
                         front = pareto.pareto_front(mine, x_m, y_m)
-                    except ValueError:
-                        hv_row[f"hv_{method}"] = UNDEFINED_CELL
-                        hv_row[f"min_{method}"] = UNDEFINED_CELL
+                    except ValueError:  # no point of this method defines both metrics
+                        cells += [UNDEFINED_CELL, UNDEFINED_CELL]
                         continue
                     for p in front.points:
                         writer.writerow([
@@ -403,21 +409,10 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
                             p.params_json(), p.seed,
                         ])
                     hv = pareto.hypervolume_2d(front, ref) if ref else None
-                    hv_row[f"hv_{method}"] = _format_cell(hv) if hv is not None else UNDEFINED_CELL
-                    if threshold is not None:
-                        phi = pareto.min_fairness_above_threshold(mine, x_m, threshold, y_m)
-                        hv_row[f"min_{method}"] = (
-                            _format_cell(phi) if phi is not None else UNDEFINED_CELL
-                        )
-                hv_rows.append(hv_row)
-
-    columns = ["k", "axis"]
-    for method in methods:
-        columns += [f"hv_{method}", f"min_{method}"]
-    with _replacing(hv_path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in hv_rows:
-            fh.write(",".join(row.get(c, UNDEFINED_CELL) for c in columns) + "\n")
+                    phi = None if threshold is None else pareto.min_fairness_above_threshold(
+                        mine, x_m, threshold, y_m)
+                    cells += [UNDEFINED_CELL if v is None else _format_cell(v) for v in (hv, phi)]
+                hv_fh.write(",".join(cells) + "\n")
     return pareto_path, hv_path
 
 

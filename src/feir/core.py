@@ -433,16 +433,16 @@ class ScorePair:
         return self.U.shape[1]
 
 
-def load_scores(u_path, s_path=None, expected_dims=None) -> ScorePair:
+def load_scores(u_path, s_path=None) -> ScorePair:
     """Load a ScorePair from CSV file(s); one path means shared U = S.
 
     Range enforcement happens here: entries outside (0, 1) are rejected, not
     clamped, so upstream scoring bugs surface immediately.
     """
-    U = load_matrix(u_path, expected_dims)
+    U = load_matrix(u_path)
     if s_path is None:
         return ScorePair.single(U)
-    S = load_matrix(s_path, expected_dims)
+    S = load_matrix(s_path)
     return ScorePair(U=U, S=S)
 
 

@@ -209,8 +209,7 @@ def normalized_metrics(metrics: SystemMetrics, naive_metrics: SystemMetrics) -> 
     )
 
 
-def competition_metrics(S, C, k: int | None = None,
-                        picks: _Picks | None = None) -> CompetitionMetrics:
+def competition_metrics(S, C, k: int, picks: _Picks | None = None) -> CompetitionMetrics:
     """Per-user competition indicators on a binary recommendation.
 
     For each recommended item, a user's rivals are the strictly more suitable
@@ -223,8 +222,6 @@ def competition_metrics(S, C, k: int | None = None,
     if picks is None:
         picks = _picks(S, C)
     _require_binary(picks.lists.data)
-    if k is None:
-        k = int(C[0].sum())
     rank_per_user = picks.per_user(picks.rivals) / k
     gap_per_user = picks.per_user(picks.shortfall / np.maximum(1.0, picks.rivals)) / k
     rank_per_user.setflags(write=False)

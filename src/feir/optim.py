@@ -11,7 +11,6 @@ are arranged to produce bit-identical traces.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -169,7 +168,6 @@ class TrainConfig:
 class TrainTrace:
     steps: list[LossBreakdown]
     final_policy: Policy
-    wall_time: float
 
     @property
     def step_count(self) -> int:
@@ -330,7 +328,6 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     params = U.copy() if logits_mode else row_softmax(U)
 
     breakdowns: list[LossBreakdown] = []
-    start = time.perf_counter()
     objective = Objective(U, S, config.k, config.weights, config.parametrization)
     for step in range(config.max_steps):
         # with scaling "none" every step takes the objective's full view
@@ -342,10 +339,9 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
         params = params - config.learning_rate * G
         if _converged(breakdowns, config.convergence_tol):
             break
-    wall = time.perf_counter() - start
 
     P_final = row_softmax(params) if logits_mode else _project_rows(params)
-    return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final), wall_time=wall)
+    return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final))
 
 
 def default_weight_grid() -> list[LossWeights]:

@@ -221,6 +221,58 @@ class TestRun:
         assert (out / "solutions.csv").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["solutions.csv"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [r + ["note" if i == 0 else "x"] for i, r in enumerate(rows)],
+         "solutions file has unknown columns: ['note']"),
+        (lambda rows: [r[:7] + r[8:] for r in rows], "solutions file lacks columns: ['tau']"),
+        (lambda rows: [["method", "k", "foo"]],
+         f"solutions file lacks columns: {sorted(set(SOLUTION_COLUMNS) - {'method', 'k'})}"),
+    ], ids=["extra_column", "missing_key_column", "foreign_header_only"])
+    def test_foreign_header_refused_before_solving(self, tmp_path, monkeypatch, edit, message):
+        config = {
+            "seed": 5,
+            "dataset": {"family": "random", "m": 6, "n": 8},
+            "ks": [2],
+            "methods": {"naive": {}, "feir": {"weight_grid": [[1, 1, 1, 0]], "max_steps": 5},
+                        "ca": {"epsilons": [0.01]}},
+        }
+        path = cmd_run(config, tmp_path / "out")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][7] == "tau"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        before = path.read_bytes()
+        solves = []
+        real_fit, real_ca = feir.cli.fit, feir.baselines.congestion_alleviation
+        monkeypatch.setattr(feir.cli, "fit", lambda *a, **kw: solves.append(a) or real_fit(*a, **kw))
+        monkeypatch.setattr(feir.baselines, "congestion_alleviation",
+                            lambda *a, **kw: solves.append(a) or real_ca(*a, **kw))
+        # a new FEIR point and a new CA row, so the re-run has work to refuse
+        config["methods"]["feir"]["weight_grid"].append([0, 1, 1, 0])
+        config["methods"]["ca"]["epsilons"].append(0.1)
+        with pytest.raises(ValueError) as err:
+            cmd_run(config, tmp_path / "out")
+        assert str(err.value) == message
+        assert solves == []
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["solutions.csv"]
+
+    def test_reordered_header_is_read(self, tmp_path, intro_dataset):
+        config = {"seed": 3, "dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"naive": {}}}
+        path = cmd_run(config, tmp_path / "out")
+        first = path.read_bytes()
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[::-1] for row in rows)
+        config["methods"]["shuffle"] = {"d": 2}
+        cmd_run(config, tmp_path / "out")
+        # rewritten in the documented order, the earlier row kept as it was
+        assert path.read_bytes().startswith(first)
+        assert [r["method"] for r in read_rows(path)] == ["naive", "shuffle"]
+
     def test_config_without_runs_writes_the_header(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1],
                   "methods": {"ca": {"epsilons": []}}}
@@ -768,6 +820,15 @@ class TestReport:
         assert [p.read_bytes() for p in paths] == before
         assert sorted(p.name for p in rep.iterdir()) == ["hv_table.csv", "pareto.csv"]
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_into_a_fresh_directory_leaves_neither_file(
+            self, solutions, tmp_path, cut_second_write, error):
+        rep = tmp_path / "rep"
+        cut_second_write(feir.cli, "hv_table.csv", error)
+        with pytest.raises(error):
+            cmd_report(solutions, None, rep)
+        assert list(rep.iterdir()) == []
+
     @pytest.mark.parametrize("report_cfg, message", [
         ({"axes": [{"x": "inferiority_nrom", "y": "utility_norm"}]},
          "report axis x must be one of {columns}, got 'inferiority_nrom'"),
@@ -864,6 +925,15 @@ class TestReport:
         bad.write_text("method,k\nnaive,1\n")
         with pytest.raises(ValueError, match="lacks columns"):
             cmd_report(bad, None, tmp_path / "rep")
+
+    def test_foreign_header_only_file_rejected_before_writing(self, tmp_path):
+        foreign = tmp_path / "solutions.csv"
+        foreign.write_text("method,k,foo\r\n", newline="")
+        with pytest.raises(ValueError) as err:
+            cmd_report(foreign, None, tmp_path / "rep")
+        missing = sorted(set(SOLUTION_COLUMNS) - {"method", "k"})
+        assert str(err.value) == f"solutions file lacks columns: {missing}"
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -4,7 +4,8 @@ that must hold at any size, with no oracle to compute the answer.
 The lists come from `top_k` of continuous scores, which hold no ties, so
 `top_k`'s lowest-index tie break never decides a list. S is rounded to one
 decimal, so tied suitabilities, and tie runs in the sorted kernels, are
-common.
+common. The exact relations (shifting S, doubling U) use a dyadic S instead,
+whose shifts and differences are exact in float64.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from feir.core import top_k
 from feir.losses import LossWeights
-from feir.metrics import competition_metrics, system_metrics
+from feir.metrics import competition_metrics, normalized_metrics, system_metrics
 from feir.optim import loss_and_grad
 
 
@@ -23,6 +24,20 @@ def instance(seed, m, n):
     rng = np.random.default_rng(seed)
     U, W = rng.uniform(0.01, 0.99, (2, m, n))
     return U, np.round(rng.uniform(0.0, 1.0, (m, n)), 1), W, rng
+
+
+def dyadic_instance(seed, m, n):
+    """Continuous U and list scores W, and an S of multiples of 2**-21 in
+    [0, 1), about half of them drawn from four shared levels, so ties are
+    common. S + SHIFT and every difference of S's entries are exact."""
+    rng = np.random.default_rng(seed)
+    U, W = rng.uniform(0.01, 0.99, (2, m, n))
+    S = rng.integers(0, 2**21, (m, n))
+    S = np.where(rng.random((m, n)) < 0.5, rng.choice(rng.integers(0, 2**21, 4), (m, n)), S)
+    return U, S / 2.0**21, W, rng
+
+
+SHIFT = 0.25
 
 
 class TestPermutation:
@@ -59,3 +74,48 @@ class TestTrainingMatchesEvaluation:
         sys = system_metrics(U, S, C)
         expected = pytest.approx((sys.utility, sys.envy, sys.inferiority), rel=1e-14, abs=0.0)
         assert (-losses.neg_utility_loss, losses.envy_loss, losses.inferiority_loss) == expected
+
+
+class TestShiftingSuitability:
+    """Inferiority, rank and gap see S only through differences of its
+    entries, so adding a constant to S changes none of their bits."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 10), st.data())
+    def test_metrics_are_bit_identical(self, seed, m, n, data):
+        k = data.draw(st.integers(1, n))
+        U, S, W, _ = dyadic_instance(seed, m, n)
+        C = top_k(W, k).C
+        assert (system_metrics(U, S + SHIFT, C).inferiority
+                == system_metrics(U, S, C).inferiority)
+        comp, shifted = competition_metrics(S, C, k), competition_metrics(S + SHIFT, C, k)
+        assert shifted.mean_rank_per_user.tolist() == comp.mean_rank_per_user.tolist()
+        assert shifted.mean_gap_per_user.tolist() == comp.mean_gap_per_user.tolist()
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 10), st.data())
+    def test_training_inferiority_is_bit_identical(self, seed, m, n, data):
+        k = data.draw(st.integers(1, n))
+        U, S, _, rng = dyadic_instance(seed, m, n)
+        P = rng.uniform(0.05, 1.0, (m, n))
+        P /= P.sum(axis=1, keepdims=True)
+        weights = LossWeights(0.0, 1.0, 0.0)
+        losses, G = loss_and_grad(U, S, P, k, weights, "direct")
+        shifted, G_shifted = loss_and_grad(U, S + SHIFT, P, k, weights, "direct")
+        assert shifted.inferiority_loss == losses.inferiority_loss
+        assert G_shifted.tobytes() == G.tobytes()
+
+
+class TestScalingUtility:
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 10), st.data())
+    def test_doubling_U_doubles_utility_and_envy_only(self, seed, m, n, data):
+        # doubling is exact, so every sum of doubled terms is the doubled sum
+        k = data.draw(st.integers(1, n))
+        U, S, W, _ = dyadic_instance(seed, m, n)
+        C = top_k(W, k).C
+        before, after = system_metrics(U, S, C), system_metrics(2 * U, S, C)
+        assert (after.utility, after.envy) == (2 * before.utility, 2 * before.envy)
+        assert after.inferiority == before.inferiority
+        # each against the naive lists of its own U
+        norm = normalized_metrics(before, system_metrics(U, S, top_k(U, k)))
+        norm_after = normalized_metrics(after, system_metrics(2 * U, S, top_k(2 * U, k)))
+        assert (norm_after.utility_norm, norm_after.inferiority_norm) == (
+            norm.utility_norm, norm.inferiority_norm)
