@@ -86,11 +86,11 @@ def congestion_alleviation(
     Solves max <Q, P0> + eps * H(Q) over matrices whose rows each sum to 1 and
     whose columns each sum to m/n, where P0 is the row softmax of the utility
     scores. Log-domain Sinkhorn scaling alternates the column and row
-    constraints; iteration stops once both marginals are within marginal_tol
-    in L1. The dual value recorded per sweep is the standard Sinkhorn ascent
-    objective and is non-decreasing; the primal entropic objective of the
-    iterates is reported in the diagnostics but is not monotone in general.
-    A k outside [1, n] raises ValueError before the first sweep.
+    constraints until both marginals are within marginal_tol in L1, or raises
+    SinkhornError after max_iters sweeps; a k outside [1, n] raises
+    ValueError first. Only return_info computes the diagnostics: the dual
+    value of each sweep (the Sinkhorn ascent objective, non-decreasing) and
+    the primal entropic objective of the last iterate (not monotone).
     """
     U = scores.U
     m, n = U.shape
@@ -100,46 +100,40 @@ def congestion_alleviation(
     eps = config.epsilon
     a = np.ones(m)
     b = np.full(n, m / n)
-    log_a = np.zeros(m)
     log_b = np.full(n, np.log(m / n))
 
     f = np.zeros(m)
-    g = np.zeros(n)
     duals = []
-    converged = False
-    sweeps = 0
-    row_res = col_res = np.inf
     for sweeps in range(1, config.max_iters + 1):
-        # column step then row step, so the row constraint ends exact
+        # column step then row step (log a = 0), so the row constraint ends exact
         g = eps * log_b - eps * _logsumexp((P0 + f[:, None]) / eps, axis=0)
-        f = eps * log_a - eps * _logsumexp((P0 + g[None, :]) / eps, axis=1)
+        f = -eps * _logsumexp((P0 + g[None, :]) / eps, axis=1)
         logQ = (P0 + f[:, None] + g[None, :]) / eps
         Q = np.exp(logQ)
-        duals.append(float(f @ a + g @ b - eps * Q.sum()))
+        if return_info:
+            duals.append(float(f @ a + g @ b - eps * Q.sum()))
         row_res = float(np.abs(Q.sum(axis=1) - a).sum())
         col_res = float(np.abs(Q.sum(axis=0) - b).sum())
         if row_res < config.marginal_tol and col_res < config.marginal_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise SinkhornError(
             f"no convergence in {config.max_iters} sweeps "
             f"(row L1 {row_res:.3e}, col L1 {col_res:.3e})",
             residual=max(row_res, col_res),
         )
-    entropy = -np.sum(np.where(Q > 0.0, Q * (logQ - 1.0), 0.0))
-    objective = float(np.sum(Q * P0) + eps * entropy)
     policy = Policy(P=Q)
-    if return_info:
-        info = CAInfo(
-            sweeps=sweeps,
-            row_residual=row_res,
-            col_residual=col_res,
-            dual_history=np.array(duals),
-            objective=objective,
-        )
-        return policy, info
-    return policy
+    if not return_info:
+        return policy
+    entropy = -np.sum(np.where(Q > 0.0, Q * (logQ - 1.0), 0.0))
+    info = CAInfo(
+        sweeps=sweeps,
+        row_residual=row_res,
+        col_residual=col_res,
+        dual_history=np.array(duals),
+        objective=float(np.sum(Q * P0) + eps * entropy),
+    )
+    return policy, info
 
 
 def round_robin(U, S, k: int, config: RRConfig) -> CountMatrix:

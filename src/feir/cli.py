@@ -58,8 +58,15 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _reject_unknown(what: str, cfg: dict, valid) -> None:
-    extra = sorted(set(cfg) - set(valid))
+def _object(what: str, cfg) -> dict:
+    """cfg, a JSON object; any other value raises ValueError."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} config must be an object, got {cfg!r}")
+    return cfg
+
+
+def _reject_unknown(what: str, cfg, valid) -> None:
+    extra = sorted(set(_object(what, cfg)) - set(valid))
     if extra:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
 
@@ -88,7 +95,7 @@ AXIS_KEYS = ("x", "y", "ref", "threshold")
 
 
 def _dataset_scores(config: dict) -> ScorePair:
-    ds = config["dataset"]
+    ds = _object("dataset", config.get("dataset", {}))
     if "u_path" not in ds:
         return datagen.generate(_gen_spec(config))
     _reject_unknown("dataset", ds, DATASET_FILE_KEYS)
@@ -100,7 +107,7 @@ def _dataset_scores(config: dict) -> ScorePair:
 
 
 def _gen_spec(config: dict) -> datagen.GenSpec:
-    ds = config["dataset"]
+    ds = config.get("dataset", {})  # its callers check that it is an object
     if "family" not in ds:
         raise ValueError(
             f"dataset needs 'u_path' (keys {list(DATASET_FILE_KEYS)}) or 'family' "
@@ -112,7 +119,7 @@ def _gen_spec(config: dict) -> datagen.GenSpec:
 
 def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     """Write the configured synthetic dataset as CSV files plus sidecars."""
-    if "family" not in config["dataset"]:
+    if "family" not in _object("dataset", config.get("dataset", {})):
         raise ValueError("generate needs a dataset with a 'family' entry")
     spec = _gen_spec(config)
     scores = datagen.generate(spec)
@@ -268,13 +275,13 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     dataset or the method's other settings, so a changed config keeps the
     old rows. solutions.csv is replaced atomically after each new row, so an
     interrupted run keeps the rows it finished and a re-run of a finished
-    config does not write it. Failures that depend on the data become rows
-    with an error status and the run continues. A config that is wrong
-    whatever the data, or an existing solutions.csv whose header is not
-    SOLUTION_COLUMNS in some order, raises ValueError before anything is
-    solved, and no file or directory is written; the README's "Command
-    line" section lists each refusal and the settings table. Without `ks`,
-    the DEFAULT_KS up to n are run.
+    config does not write it; a directory is made as its first file is
+    committed. Data-dependent failures become error-status rows and the run
+    goes on. A config that is wrong whatever the data (a non-object section,
+    say), or an existing solutions.csv whose header is not SOLUTION_COLUMNS
+    in some order, raises ValueError before anything is solved, and no file
+    or directory is written; the README's "Command line" section lists each
+    refusal and the settings table. Without `ks`, the DEFAULT_KS up to n run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = config.get("seed", 0)
@@ -287,9 +294,7 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
-    unknown = sorted(set(methods) - set(METHODS))
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; valid methods are {list(METHODS)}")
+    _reject_unknown("methods", methods, METHODS)
     for method, cfg in methods.items():
         _reject_unknown(method, cfg, METHODS[method][1])
     scores = _dataset_scores(config)
@@ -351,15 +356,17 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     the minimum unfairness among solutions whose y metric exceeds the
     threshold. Both files are written in one pass and replace their targets
     together once both are whole, so an interrupted report leaves the earlier
-    pair, or none, as it was. An unknown report or axis key, an axis metric
-    that solutions.csv does not hold (see METRIC_COLUMNS), a `ref` that is
-    not two finite numbers, a `threshold` that is not a number, or a
-    solutions.csv whose header is not exactly SOLUTION_COLUMNS (in any order)
-    raises ValueError before anything is written.
+    pair, or none, as it was. A report config or axis that is not an object
+    or has an unknown key, `axes` that is not a list, an axis metric that
+    solutions.csv does not hold (see METRIC_COLUMNS), a `ref` that is not two
+    finite numbers, a non-number `threshold`, or a solutions.csv whose header
+    is not SOLUTION_COLUMNS in some order raises ValueError before any write.
     """
-    report_config = report_config or {}
+    report_config = {} if report_config is None else report_config
     _reject_unknown("report", report_config, REPORT_KEYS)
     axes = report_config.get("axes", DEFAULT_REPORT_AXES)
+    if not _is_list(axes):
+        raise ValueError(f"report axes must be a list, got {axes!r}")
     for axis in axes:
         _reject_unknown("report axis", axis, AXIS_KEYS)
         for key in ("x", "y"):
@@ -424,20 +431,16 @@ def cmd_check(fast: bool = False) -> int:
     the log-sum-exp it shares with congestion alleviation vs the installed
     scipy's `truncnorm.ppf` and `logsumexp`, whose steps they copy. Prints
     one line per check; returns a process exit code."""
-    checks = failures = 0
+    results = []
 
     def report(name: str, ok: bool, detail: str = ""):
-        nonlocal checks, failures
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
-        checks += 1
-        failures += 0 if ok else 1
+        print(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else ""))
+        results.append(ok)
 
     rng = np.random.default_rng(2024)
     samples = 20_000 if fast else 100_000
 
     # closed-form expectations vs Monte Carlo
-    ok = True
     worst = 0.0
     for _ in range(2 if fast else 5):
         m, n, k = 3, 5, 2
@@ -552,8 +555,8 @@ def cmd_check(fast: bool = False) -> int:
     report("log-sum-exp matches scipy.special.logsumexp bit for bit", same,
            f"scipy {scipy.__version__}, {pairs.shape[1] + tied.shape[0] + tied.shape[1]} sums")
 
-    print(f"{checks - failures}/{checks} checks passed")
-    return 1 if failures else 0
+    print(f"{sum(results)}/{len(results)} checks passed")
+    return 0 if all(results) else 1
 
 
 def main(argv=None) -> int:
@@ -592,7 +595,7 @@ def main(argv=None) -> int:
         print(f"wrote {pareto_path} and {hv_path}")
         return 0
 
-    config = load_config(args.config)
+    config = _object("top-level", load_config(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
     out_dir = Path(args.out or config.get("output_dir", "out"))

@@ -131,19 +131,20 @@ def save_matrix(matrix, path) -> None:
 def _replacing(path, binary: bool = False):
     """Open a file that replaces `path` once the block exits cleanly.
 
-    Everything is written to a temporary file in the target's directory
-    (binary, or UTF-8 text with no newline translation), which `os.replace`
-    then moves over the target; that directory and its parents are created
-    if missing. An error or interrupt in the block leaves any earlier file
-    at `path` as it was and no temporary file behind.
+    Everything is written to a temporary file (binary, or UTF-8 text with no
+    newline translation) in the nearest existing directory on the path; on a
+    clean exit the missing directories are made and `os.replace` moves the
+    file over the target. An error or interrupt in the block leaves any
+    earlier file at `path` as it was, and no temporary file or new directory.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    stage = next(d for d in path.parents if d.is_dir())
+    tmp = stage / f".{path.name}.{secrets.token_hex(8)}.tmp"
     fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -29,8 +29,9 @@ def _require_binary(C: np.ndarray) -> None:
 class _Picks:
     """The (user, item) entries a count matrix recommends, in item-major
     order, with each pick's inferiority terms against the item's other
-    recipients."""
+    recipients, and the length k that every user's list shares."""
 
+    k: float               # the count every row of the matrix sums to
     users: np.ndarray      # the recipient of each pick
     lists: sparse.csc_array  # the count matrix, stored column by column
     shortfall: np.ndarray  # sum over more suitable co-recipients t of S[t, j] - S[i, j]
@@ -42,7 +43,8 @@ class _Picks:
 
 
 def _picks(S, C) -> _Picks:
-    """List C's picks and score each against the item's other recipients.
+    """List C's picks, check that every row of C sums to the same k, and
+    score each pick against the item's other recipients.
 
     Item j's recipients fill column j of a (most recipients of any item) x
     (picked items) matrix. The padding has weight 0, so it adds nothing to
@@ -58,10 +60,14 @@ def _picks(S, C) -> _Picks:
     users, items = np.divmod(np.flatnonzero(C), n)
     by_item = np.argsort(items, kind="stable")
     users, items = users[by_item], items[by_item]
+    counts = C[users, items].astype(float)
+    lengths = np.bincount(users, weights=counts, minlength=m)
+    if np.any(lengths != lengths[:1]):
+        raise ValueError("count matrix rows must all sum to the same k")
     per_item = np.bincount(items, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(per_item, out=indptr[1:])
-    lists = sparse.csc_array((C[users, items].astype(float), users, indptr), shape=(m, n))
+    lists = sparse.csc_array((counts, users, indptr), shape=(m, n))
 
     # slot of each pick in the padded layout: (position among the item's
     # recipients, index among the picked items)
@@ -77,6 +83,7 @@ def _picks(S, C) -> _Picks:
     weight.flat[flat] = 1.0
     order = SuitabilityOrder(layout)
     return _Picks(
+        k=lengths.max(initial=0.0),
         users=users,
         lists=lists,
         shortfall=order.shortfall(weight).take(flat),
@@ -155,18 +162,15 @@ def system_metrics(U, S, C, picks: _Picks | None = None) -> SystemMetrics:
     inferiority sums all pairwise deficits, each over ordered user pairs and
     divided by the number of users m, never by the number of pairs. Envy is
     the training envy loss (`_envy_loss_grad`) of the lists themselves. Both
-    pair sums are taken from the lists' picks (`_picks`), so the cost grows
-    with the m*k recommended entries, not with m*n; a caller that already
-    holds `_picks(S, C)` passes it to skip rebuilding it.
+    pair sums and the check that all lists are as long come from the picks
+    (`_picks`), so the cost grows with the m*k recommended entries, not with
+    m*n; a caller that already holds `_picks(S, C)` passes it to skip rebuilding it.
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
     C = _counts(C)
     if U.shape != S.shape or U.shape != C.shape:
         raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}, C {C.shape}")
-    row_sums = C.sum(axis=1)
-    if np.any(row_sums != row_sums[0]):
-        raise ValueError("count matrix rows must all sum to the same k")
     m = U.shape[0]
     if picks is None:
         picks = _picks(S, C)
@@ -218,7 +222,6 @@ def competition_metrics(S, C, k: int, picks: _Picks | None = None) -> Competitio
     rivals (a slot with no rivals contributes 0). Both come from the picks,
     as in `system_metrics`, which is also where `picks` is described.
     """
-    C = _counts(C)
     if picks is None:
         picks = _picks(S, C)
     _require_binary(picks.lists.data)

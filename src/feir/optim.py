@@ -324,11 +324,10 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     U, S, n = scores.U, scores.S, scores.n
     if not (1 <= config.k <= n):
         raise ValueError(f"k={config.k} outside [1, {n}]")
-    logits_mode = config.parametrization == "logits"
-    params = U.copy() if logits_mode else row_softmax(U)
+    objective = Objective(U, S, config.k, config.weights, config.parametrization)
+    params = U.copy() if objective.logits else row_softmax(U)
 
     breakdowns: list[LossBreakdown] = []
-    objective = Objective(U, S, config.k, config.weights, config.parametrization)
     for step in range(config.max_steps):
         # with scaling "none" every step takes the objective's full view
         view = None if config.scaling.kind == "none" else make_training_view(
@@ -340,7 +339,7 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
         if _converged(breakdowns, config.convergence_tol):
             break
 
-    P_final = row_softmax(params) if logits_mode else _project_rows(params)
+    P_final = row_softmax(params) if objective.logits else _project_rows(params)
     return TrainTrace(steps=breakdowns, final_policy=Policy(P=P_final))
 
 

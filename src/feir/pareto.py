@@ -69,13 +69,12 @@ def make_solution(
     """Evaluate a realized recommendation into a SolutionPoint.
 
     The lists' picks, with each pick's deficit and rival count, are built
-    once and shared by the system and competition metrics. A list whose
-    length is not k raises ValueError.
+    once and shared by the system and competition metrics. Lists whose
+    lengths differ, or whose common length is not k, raise ValueError.
     """
     picks = _picks(scores.S, counts)
-    sizes = picks.per_user(picks.lists.data)
-    if np.any(sizes != k):
-        raise ValueError(f"k={k}, but the lists hold {sizes.min():g} to {sizes.max():g} items")
+    if picks.k != k:
+        raise ValueError(f"k={k}, but the lists hold {picks.k:g} to {picks.k:g} items")
     sys = system_metrics(scores.U, scores.S, counts, picks=picks)
     norm = normalized_metrics(sys, naive_system)
     comp = competition_metrics(scores.S, counts, k, picks=picks)

@@ -32,17 +32,18 @@ def order_builds(monkeypatch):
 
 @pytest.fixture
 def cut_second_write(monkeypatch):
-    """cut(module, name, error) makes the second write to a file named `name`
-    that `module` opens through `_replacing` raise `error`, so the file is
-    cut mid-write; the real `_replacing` still handles the failure."""
+    """cut(module, name, error, at=2) makes the at-th write to a file whose
+    name ends with `name`, opened by `module` through `_replacing`, raise
+    `error`, so the file is cut mid-write (at=1: before its first byte); the
+    real `_replacing` still handles the failure."""
 
-    def cut(module, name, error):
+    def cut(module, name, error, at=2):
         real = module._replacing
 
         @contextlib.contextmanager
         def replacing(path, *args, **kwargs):
             with real(path, *args, **kwargs) as fh:
-                if Path(path).name != name:
+                if not Path(path).name.endswith(name):
                     yield fh
                     return
                 writes = []
@@ -50,7 +51,7 @@ def cut_second_write(monkeypatch):
                 class Cut:
                     def write(self, data):
                         writes.append(data)
-                        if len(writes) == 2:
+                        if len(writes) == at:
                             raise error("cut mid-write")
                         return fh.write(data)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import truncnorm
 
-from feir.core import CountMatrix, DimensionError, MatrixFormatError, row_softmax
+from feir.core import CountMatrix, DimensionError, MatrixFormatError, _logsumexp, row_softmax
 from feir.losses import (
     LossBreakdown,
     SuitabilityOrder,
@@ -369,3 +369,36 @@ def inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm):
         qg = k * (1.0 - Ps) ** (int(k) - 1)
     grad = qg * (own + order.sorted_lead(q_measured))
     return loss, order.scatter(grad) / m_norm
+
+
+def sinkhorn_every_sweep(U, eps, max_iters, tol):
+    """Reference congestion alleviation: the log-domain Sinkhorn loop with a
+    convergence flag, both marginals' logs in their steps, and the dual of
+    every sweep and the primal objective always computed.
+    `baselines.congestion_alleviation` must return the same bits. Returns
+    (Q, sweeps, row residual, col residual, duals, objective); Q and the
+    objective are None when max_iters sweeps do not converge."""
+    P0 = row_softmax(U)
+    m, n = P0.shape
+    a, b = np.ones(m), np.full(n, m / n)
+    log_a, log_b = np.zeros(m), np.full(n, np.log(m / n))
+    f, g = np.zeros(m), np.zeros(n)
+    duals = []
+    converged = False
+    sweeps = 0
+    row_res = col_res = np.inf
+    for sweeps in range(1, max_iters + 1):
+        g = eps * log_b - eps * _logsumexp((P0 + f[:, None]) / eps, axis=0)
+        f = eps * log_a - eps * _logsumexp((P0 + g[None, :]) / eps, axis=1)
+        logQ = (P0 + f[:, None] + g[None, :]) / eps
+        Q = np.exp(logQ)
+        duals.append(float(f @ a + g @ b - eps * Q.sum()))
+        row_res = float(np.abs(Q.sum(axis=1) - a).sum())
+        col_res = float(np.abs(Q.sum(axis=0) - b).sum())
+        if row_res < tol and col_res < tol:
+            converged = True
+            break
+    if not converged:
+        return None, sweeps, row_res, col_res, duals, None
+    entropy = -np.sum(np.where(Q > 0.0, Q * (logQ - 1.0), 0.0))
+    return Q, sweeps, row_res, col_res, duals, float(np.sum(Q * P0) + eps * entropy)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from feir.baselines import (
     CAConfig,
     RRConfig,
@@ -110,6 +111,33 @@ class TestCongestionAlleviation:
         with pytest.raises(SinkhornError) as exc:
             congestion_alleviation(pair, 2, CAConfig(epsilon=0.0001, max_iters=1))
         assert exc.value.residual > 0
+
+    @pytest.mark.parametrize("m, n, eps", [
+        (2, 3, 0.01), (6, 9, 0.001), (7, 11, 0.002), (12, 8, 0.03), (30, 80, 0.1),
+    ])
+    def test_matches_the_reference_loop_bit_for_bit(self, m, n, eps):
+        # the diagnostics are computed only with return_info, and neither the
+        # policy nor any diagnostic depends on whether they are
+        U = np.random.default_rng(m * n).uniform(0.01, 0.99, (m, n))
+        Q, sweeps, row_res, col_res, duals, objective = oracles.sinkhorn_every_sweep(U, eps, 20000, 1e-9)
+        pair = ScorePair.single(U)
+        policy, info = congestion_alleviation(pair, 2, CAConfig(epsilon=eps), return_info=True)
+        plain = congestion_alleviation(pair, 2, CAConfig(epsilon=eps))
+        assert policy.P.tobytes() == plain.P.tobytes() == Q.tobytes()
+        assert (info.sweeps, info.row_residual, info.col_residual) == (sweeps, row_res, col_res)
+        assert info.dual_history.tolist() == duals
+        assert info.objective == objective
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_non_convergence_matches_the_reference_loop(self, max_iters):
+        U = np.random.default_rng(6).uniform(0.01, 0.99, (8, 5))
+        _, _, row_res, col_res, _, _ = oracles.sinkhorn_every_sweep(U, 0.0001, max_iters, 1e-9)
+        config = CAConfig(epsilon=0.0001, max_iters=max_iters)
+        for return_info in (False, True):
+            with pytest.raises(SinkhornError) as exc:
+                congestion_alleviation(ScorePair.single(U), 2, config, return_info=return_info)
+            assert exc.value.residual == max(row_res, col_res)
+            assert f"(row L1 {row_res:.3e}, col L1 {col_res:.3e})" in str(exc.value)
 
     @pytest.mark.parametrize("k", [0, 6])
     def test_k_outside_range_raises_before_first_sweep(self, k):

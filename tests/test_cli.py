@@ -95,6 +95,15 @@ class TestGenerate:
         assert str(err.value) == f"seed must be an integer, got {seed!r}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_first_write_leaves_no_directory(self, tmp_path, cut_second_write, error):
+        cut_second_write(feir.core, "_U.csv", error, at=1)
+        with pytest.raises(error):
+            cmd_generate({"seed": 3, "dataset": {"family": "user_groups", "m": 4, "n": 6}},
+                         tmp_path / "data" / "fresh")
+        assert not (tmp_path / "data").exists()
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
     def test_needs_family(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}}
         with pytest.raises(ValueError):
@@ -220,6 +229,33 @@ class TestRun:
             cmd_run(config, out)
         assert (out / "solutions.csv").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["solutions.csv"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_first_write_leaves_no_directory(self, tmp_path, intro_dataset,
+                                                    cut_second_write, error):
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1], "methods": {"naive": {}}}
+        cut_second_write(feir.cli, "solutions.csv", error)
+        with pytest.raises(error):
+            cmd_run(config, tmp_path / "fresh" / "out")
+        assert not (tmp_path / "fresh").exists()
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_first_matrix_write_leaves_no_matrices_directory(
+            self, tmp_path, intro_dataset, cut_second_write, error):
+        config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1], "methods": {"naive": {}}}
+        cut_second_write(feir.core, "_counts.csv", error, at=1)
+        out = tmp_path / "out"
+        if error is OSError:  # a failed save, like a failed solve, becomes an error row
+            cmd_run(config, out, save_matrices=True)
+            assert [r["status"] for r in read_rows(out / "solutions.csv")] == [
+                "error: cut mid-write"]
+        else:
+            with pytest.raises(error):
+                cmd_run(config, out, save_matrices=True)
+            assert not out.exists()
+        assert not (out / "matrices").exists()
+        assert list(tmp_path.rglob(".*.tmp")) == []
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [r + ["note" if i == 0 else "x"] for i, r in enumerate(rows)],
@@ -827,7 +863,8 @@ class TestReport:
         cut_second_write(feir.cli, "hv_table.csv", error)
         with pytest.raises(error):
             cmd_report(solutions, None, rep)
-        assert list(rep.iterdir()) == []
+        assert not rep.exists()
+        assert list(tmp_path.rglob(".*.tmp")) == []
 
     @pytest.mark.parametrize("report_cfg, message", [
         ({"axes": [{"x": "inferiority_nrom", "y": "utility_norm"}]},
@@ -939,6 +976,49 @@ class TestReport:
             cmd_report(tmp_path / "ghost.csv", None, tmp_path)
 
 
+RUN = {"dataset": {"family": "random", "m": 4, "n": 6}, "ks": [2], "methods": {"naive": {}}}
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("command, config, message", [
+        ("run", ["naive"], "top-level config must be an object, got ['naive']"),
+        ("run", {**RUN, "methods": ["naive"]}, "methods config must be an object, got ['naive']"),
+        ("run", {**RUN, "methods": {"naive": {}, "rr": []}}, "rr config must be an object, got []"),
+        ("run", {**RUN, "methods": {"naive": None}}, "naive config must be an object, got None"),
+        ("run", {**RUN, "methods": {"feir": {"scaling": "none"}}},
+         "feir scaling config must be an object, got 'none'"),
+        ("run", {**RUN, "dataset": ["family"]}, "dataset config must be an object, got ['family']"),
+        ("run", {**RUN, "dataset": "scores.csv"},
+         "dataset config must be an object, got 'scores.csv'"),
+        ("run", {"ks": [2], "methods": {"naive": {}}},
+         "dataset needs 'u_path' (keys ['u_path', 's_path']) or 'family' (keys "
+         "['family', 'm', 'n', 'seed', 'group_fraction', 'group_boost'])"),
+        ("generate", {"dataset": ["family"]}, "dataset config must be an object, got ['family']"),
+        ("generate", {"seed": 3}, "generate needs a dataset with a 'family' entry"),
+        ("report", ["axes"], "report config must be an object, got ['axes']"),
+        ("report", {"axes": ["x"]}, "report axis config must be an object, got 'x'"),
+        ("report", {"axes": {"x": "envy", "y": "utility"}},
+         "report axes must be a list, got {'x': 'envy', 'y': 'utility'}"),
+    ], ids=["top_level", "methods", "method", "method_null", "scaling", "dataset_list",
+            "dataset_string", "dataset_missing", "generate_dataset", "generate_missing",
+            "report", "axis", "axes"])
+    def test_refused_before_anything_is_solved_or_written(self, tmp_path, monkeypatch,
+                                                          command, config, message):
+        solved = []
+        monkeypatch.setattr(feir.cli, "fit", lambda *a: solved.append(a))
+        monkeypatch.setattr(feir.baselines, "naive", lambda *a: solved.append(a))
+        out = tmp_path / "out"
+        run = {"run": lambda: cmd_run(config, out),
+               "generate": lambda: cmd_generate(config, out),
+               # the report's config is checked before its solutions file is read
+               "report": lambda: cmd_report(tmp_path / "absent.csv", config, out)}[command]
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
+        assert solved == []
+        assert not out.exists()
+
+
 def test_check_fast_passes(capsys):
     assert cmd_check(fast=True) == 0
     assert "7/7 checks passed" in capsys.readouterr().out
@@ -960,6 +1040,15 @@ class TestMain:
         assert solutions.exists()
         assert main(["report", "--solutions", str(solutions)]) == 0
         assert (tmp_path / "out" / "hv_table.csv").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_config_that_is_not_an_object_refused(self, tmp_path, monkeypatch, command):
+        # main sets the seed and reads output_dir before the command checks the config
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, [{"dataset": {"family": "random"}}])
+        with pytest.raises(ValueError, match=r"^top-level config must be an object, got \[\{"):
+            main([command, "--config", str(cfg_path), "--seed", "3"])
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_seed_override_changes_output(self, tmp_path):
         config = {

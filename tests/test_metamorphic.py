@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feir.core import top_k
+from feir.core import ScorePair, top_k
+from feir.datagen import GenSpec, generate
 from feir.losses import LossWeights
 from feir.metrics import competition_metrics, normalized_metrics, system_metrics
-from feir.optim import loss_and_grad
+from feir.optim import TrainConfig, fit, loss_and_grad
 
 
 def instance(seed, m, n):
@@ -60,6 +61,25 @@ class TestPermutation:
         assert comp_moved.mean_rank_per_user.tolist() == comp.mean_rank_per_user[users].tolist()
         np.testing.assert_allclose(comp_moved.mean_gap_per_user, comp.mean_gap_per_user[users],
                                    rtol=1e-14, atol=0.0)
+
+
+class TestPermutingAFit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelling_users_and_items_relabels_every_step(self, seed):
+        # a full view and every loss term, over 300 steps of descent; the
+        # permuted sums run in other orders, so they agree to rounding only
+        scores = generate(GenSpec("su_pair", 30, 80, seed=seed))
+        rng = np.random.default_rng(seed)
+        moved = np.ix_(rng.permutation(30), rng.permutation(80))
+        config = TrainConfig(k=5, weights=LossWeights(1.0, 1.0, 1.0), max_steps=300,
+                             convergence_tol=0.0)
+        trace = fit(scores, config)
+        trace_moved = fit(ScorePair(scores.U[moved], scores.S[moved]), config)
+        assert trace_moved.step_count == trace.step_count == 300
+        assert [step.total for step in trace_moved.steps] == pytest.approx(
+            [step.total for step in trace.steps], rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(trace_moved.final_policy.P, trace.final_policy.P[moved],
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestTrainingMatchesEvaluation:

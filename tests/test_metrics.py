@@ -108,6 +108,17 @@ class TestSystemLevel:
         with pytest.raises(ValueError, match="rows must all sum to the same k"):
             system_metrics(INTRO_U, INTRO_S, C)
 
+    @pytest.mark.parametrize("metric", [
+        lambda C: competition_metrics(INTRO_S, C, 2),
+        lambda C: inferiority_by_user(INTRO_S, C),
+    ], ids=["competition_metrics", "inferiority_by_user"])
+    @pytest.mark.parametrize("C", [[[1, 1, 0], [1, 0, 0]], [[0, 0, 0], [0, 1, 1]]],
+                             ids=["short_second_row", "empty_first_row"])
+    def test_raw_counts_of_unequal_length_rejected(self, metric, C):
+        # every reader of the picks shares their check of the list lengths
+        with pytest.raises(ValueError, match="count matrix rows must all sum to the same k"):
+            metric(np.array(C))
+
     def test_envy_antisymmetric_for_equal_utility_rows(self):
         U = np.tile(np.array([[0.2, 0.5, 0.8, 0.4]]), (2, 1))
         C = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
