@@ -82,7 +82,8 @@ def _settings_keys(cls, *run_owned) -> tuple:
     return tuple(f.name for f in fields(cls) if f.name not in run_owned)
 
 
-# The keys of a run config; main also reads output_dir from it.
+# The keys of a config, which one file may give both generate and run;
+# main also reads output_dir from it.
 TOP_LEVEL_KEYS = ("seed", "output_dir", "dataset", "ks", "methods")
 
 # The two dataset forms: score files, or a synthetic generator's GenSpec.
@@ -119,6 +120,7 @@ def _gen_spec(config: dict) -> datagen.GenSpec:
 
 def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     """Write the configured synthetic dataset as CSV files plus sidecars."""
+    _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     if "family" not in _object("dataset", config.get("dataset", {})):
         raise ValueError("generate needs a dataset with a 'family' entry")
     spec = _gen_spec(config)
@@ -277,7 +279,9 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     interrupted run keeps the rows it finished and a re-run of a finished
     config does not write it; a directory is made as its first file is
     committed. Data-dependent failures become error-status rows and the run
-    goes on. A config that is wrong whatever the data (a non-object section,
+    goes on. A failed matrix save (`save_matrices`) is not one: it stops
+    the run before that row is written, keeping the earlier rows, so a
+    re-run solves and saves it. A config that is wrong whatever the data (a non-object section,
     say), or an existing solutions.csv whose header is not SOLUTION_COLUMNS
     in some order, raises ValueError before anything is solved, and no file
     or directory is written; the README's "Command line" section lists each
@@ -337,9 +341,12 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                 naive = counts if method == "naive" else baselines.naive(scores, k)
                 naive_k, naive_sys = k, metrics.system_metrics(scores.U, scores.S, naive)
             point = pareto.make_solution(method, params, k, seed, scores, counts, naive_sys)
-            _save_artifacts(save_dir, point, counts, policy)
         except Exception as exc:  # noqa: BLE001 - recorded as a row, the run continues
             point = pareto.SolutionPoint(method, params, k, seed, status=f"error: {exc}")
+        else:
+            # a failed save stops the run before the row is written, so a
+            # re-run solves and saves it
+            _save_artifacts(save_dir, point, counts, policy)
         rows.append(_solution_row(point))
         _write_solutions_csv(solutions_path, rows)
 

@@ -497,18 +497,20 @@ class CountMatrix:
         object.__setattr__(self, "C", C)
 
 
-def row_softmax(Z) -> np.ndarray:
+def row_softmax(Z, *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with row-max subtraction as the overflow guard.
 
     Adding a constant to a row leaves the output unchanged, so the transform
-    preserves within-row ordering.
+    preserves within-row ordering. `out` (float, Z's shape, not Z) receives
+    the result; None allocates it.
     """
     Z = np.asarray(Z, dtype=float)
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise NumericError("softmax input contains non-finite entries")
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(shifted)
-    return E / E.sum(axis=1, keepdims=True)
+    E = np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
+    np.exp(E, out=E)
+    E /= E.sum(axis=1, keepdims=True)
+    return E
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

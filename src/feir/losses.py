@@ -113,35 +113,60 @@ def pair_envy_matrix(U, P, k: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if not sparse.issparse(P):
         P = np.asarray(P, dtype=float)
-    M = U @ P.T
-    # the own-list term is M's diagonal; reusing it makes equal rows cancel exactly
-    E = k * (M - np.diag(M)[:, None])
-    np.fill_diagonal(E, 0.0)
+    E = U @ P.T
+    # the own-list term is the diagonal; reusing it makes equal rows cancel exactly
+    E -= E.diagonal().copy()[:, None]
+    E *= k
+    E.flat[:: E.shape[0] + 1] = 0.0
     return E
 
 
 # `optim.Objective` calls a term's (loss, grad) function only when the term's
 # weight is not 0. with_grad=False returns (loss, None): for the utility term
 # of a full view, whose gradient the objective holds, and for evaluation.
+# `out` (float, P's shape) receives the gradient and `scratch` (the same,
+# another array) an intermediate of P's shape; None allocates either.
 
 
-def _utility_loss_grad(U, P, k, m_norm, with_grad=True):
-    loss = -(k / m_norm) * float(np.sum(P * U))
+def _utility_loss_grad(U, P, k, m_norm, with_grad=True, *, scratch=None):
+    loss = -(k / m_norm) * float(np.multiply(P, U, out=scratch).sum())
     if not with_grad:
         return loss, None
     return loss, -(k / m_norm) * U
 
 
-def _envy_loss_grad(U, P, k, m_norm, with_grad=True):
+def _envy_loss_grad(U, P, k, m_norm, with_grad=True, *, out=None, scratch=None):
     E = pair_envy_matrix(U, P, k)
     active = E > 0.0
-    loss = float(np.sum(np.where(active, E, 0.0)) / m_norm)
+    # E becomes the hinged envies, then the active pairs as 1.0 / 0.0
+    np.copyto(E, 0.0, where=~active)
+    loss = float(E.sum() / m_norm)
     if not with_grad:
         return loss, None
-    A = active.astype(float)
+    np.copyto(E, active)
     # d/dP[t]: +k U[i] for every active pair (i, t); d/dP[i]: -k U[i] per active pair
-    grad = (k / m_norm) * (A.T @ U - A.sum(axis=1)[:, None] * U)
+    grad = np.matmul(E.T, U, out=out)
+    grad -= np.multiply(E.sum(axis=1)[:, None], U, out=scratch)
+    grad *= k / m_norm
     return loss, grad
+
+
+class _Sorted:
+    """An (n, m) array in sorted coordinates and the views of it that the
+    running sums and the scatter read and write, each sliced once."""
+
+    __slots__ = ("a", "flat", "T", "head", "head_rev", "tail", "tail_rev", "top", "bottom")
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.flat = a.reshape(-1)
+        self.T = a.T
+        self.head = a[:, :-1]  # every position but the top
+        self.head_rev = self.head[:, ::-1]
+        self.tail = a[:, 1:]  # every position but the bottom
+        self.tail_rev = a[:, :0:-1]
+        self.top = a[:, -1:]
+        self.bottom = a[:, :1]
 
 
 class SuitabilityOrder:
@@ -165,8 +190,8 @@ class SuitabilityOrder:
 
     S never changes during a fit, so one order serves all of it. The
     training kernel (`_inferiority_loss_grad`) writes its intermediates into
-    the order's workspace, allocated on its first call and reused by every
-    later one, so one order must not run two kernel calls at once.
+    the order's workspace, allocated and sliced on its first call and reused
+    by every later one, so one order must not run two kernel calls at once.
     """
 
     def __init__(self, S):
@@ -178,26 +203,30 @@ class SuitabilityOrder:
         self._flat += np.arange(n)[:, None] * m
         self._gap = np.diff(self._gather(S, self._empty(), self._empty()), axis=1)
 
-    def _empty(self) -> np.ndarray:
-        return np.empty(self._flat.shape)
+    def _empty(self) -> _Sorted:
+        return _Sorted(np.empty(self._flat.shape))
 
-    def _gather(self, w, out: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    def _gather(self, w, out: _Sorted, stage: _Sorted) -> np.ndarray:
         """w (user coordinates) into `out` in sorted coordinates, through
         its transposed copy in `stage`."""
-        stage[...] = np.asarray(w).T
-        return stage.take(self._flat, out=out, mode="clip")
+        np.copyto(stage.a, np.asarray(w).T)
+        return stage.a.take(self._flat, out=out.a, mode="clip")
 
-    def _scatter(self, xs: np.ndarray, out: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    def _scatter(self, xs: _Sorted, out: np.ndarray, stage: _Sorted) -> np.ndarray:
         """The inverse of `_gather`: xs (sorted coordinates) into `out` in
         user coordinates, through `stage`."""
-        stage.reshape(-1)[self._flat] = xs
-        out[...] = stage.T
+        stage.flat[self._flat] = xs.a
+        np.copyto(out, stage.T)
         return out
 
     @cached_property
     def _workspace(self) -> tuple[np.ndarray, ...]:
         # the training kernel's five (n, m) intermediates
-        return tuple(self._empty() for _ in range(5))
+        return tuple(np.empty(self._flat.shape) for _ in range(5))
+
+    @cached_property
+    def _kernel_views(self) -> tuple[_Sorted, ...]:
+        return tuple(_Sorted(a) for a in self._workspace)
 
     @cached_property
     def _users(self) -> np.ndarray:
@@ -216,52 +245,51 @@ class SuitabilityOrder:
         return end + np.arange(n)[:, None] * m
 
     @staticmethod
-    def _weight_above(ws: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # out[:, r] sums the sorted weights ws[:, r+1:]; out has m - 1 columns
-        np.add.accumulate(ws[:, :0:-1], axis=1, out=out[:, ::-1])
-        return out
+    def _weight_above(ws: _Sorted, out: _Sorted) -> np.ndarray:
+        # out.head[:, r] sums the sorted weights ws[:, r+1:]
+        np.add.accumulate(ws.tail_rev, axis=1, out=out.head_rev)
+        return out.head
 
-    def _shortfall(self, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _shortfall(self, ws: _Sorted, out: _Sorted) -> np.ndarray:
         """`shortfall` of the gathered weights ws, into `out` (not ws), in
         sorted coordinates."""
-        body = self._weight_above(ws, out[:, :-1])
+        body = self._weight_above(ws, out)
         body *= self._gap
-        rev = body[:, ::-1]
-        np.add.accumulate(rev, axis=1, out=rev)
-        out[:, -1:] = 0.0
-        return out
+        np.add.accumulate(out.head_rev, axis=1, out=out.head_rev)
+        out.top.fill(0.0)
+        return out.a
 
-    def _lead(self, vs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _lead(self, vs: _Sorted, out: _Sorted) -> np.ndarray:
         """[j, r] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
         position r, with vs = v in sorted coordinates, into `out` (not vs):
         how far the weighted users below t trail it on item j."""
-        body = out[:, 1:]
-        np.add.accumulate(vs[:, :-1], axis=1, out=body)
+        body = out.tail
+        np.add.accumulate(vs.head, axis=1, out=body)
         body *= self._gap
         np.add.accumulate(body, axis=1, out=body)
-        out[:, :1] = 0.0
-        return out
+        out.bottom.fill(0.0)
+        return out.a
 
     def shortfall(self, w) -> np.ndarray:
         """[i, j] = sum_t d[i, t, j] * w[t, j]: how far user i trails the
         weighted users above it on item j."""
         stage, ws = self._empty(), self._empty()
         self._gather(w, ws, stage)
-        out = np.empty(stage.shape[::-1])
-        return self._scatter(self._shortfall(ws, stage), out, ws)
+        self._shortfall(ws, stage)
+        return self._scatter(stage, np.empty(stage.T.shape), ws)
 
     def weight_strictly_above(self, w) -> np.ndarray:
         """[i, j] = sum of w[t, j] over the users t with S[t, j] > S[i, j]."""
         ws, above = self._empty(), self._empty()
         self._gather(w, ws, stage=above)
-        self._weight_above(ws, above[:, :-1])
-        above[:, -1:] = 0.0
+        self._weight_above(ws, above)
+        above.top.fill(0.0)
         # each member of a tie run reads the weight above the run's last position
-        np.take(above, self._run_end, out=ws, mode="clip")
-        return self._scatter(ws, np.empty(ws.shape[::-1]), above)
+        np.take(above.a, self._run_end, out=ws.a, mode="clip")
+        return self._scatter(ws, np.empty(ws.T.shape), above)
 
 
-def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
+def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, *, out=None):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
     user), divided by m_norm, plus its gradient w.r.t. every row of P.
     f_rows holds distinct users, so it measures every user when it has m.
@@ -270,13 +298,15 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
     it). The work runs in the order's sorted coordinates and workspace: P is
     gathered once, 1 - P is shared by q = 1 - (1-P)^k and q' = k (1-P)^(k-1),
     and only the loss terms and the gradient are scattered back, both into
-    the returned array, the one m x n array a call allocates.
+    `out` (float, P's shape, not P), which None allocates: the one m x n
+    array such a call allocates.
     """
     if order is None:
         order = SuitabilityOrder(S)
-    stage, qg, q, shortfall, x = order._workspace
+    stage, slope, hit, shortfall, x = order._kernel_views
+    q, qg = hit.a, slope.a
     k = int(k)
-    order._gather(P, qg, stage)
+    order._gather(P, slope, stage)
     with np.errstate(over="ignore"):  # as in hit_probability(_grad)
         np.subtract(1.0, qg, out=qg)
         np.copyto(q, qg)
@@ -284,26 +314,26 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None):
         np.subtract(1.0, q, out=q)
         qg **= k - 1
         qg *= k
-    order._shortfall(q, shortfall)
+    order._shortfall(hit, shortfall)
     if len(f_rows) == P.shape[0]:  # a factor of 1.0 changes nothing, so skip the products
         own, terms = shortfall, x
     else:  # q becomes q * measured, x measured * shortfall
         measured = np.zeros(P.shape[0])
         measured[f_rows] = 1.0
-        np.take(measured, order._users, out=x, mode="clip")
-        q *= x
-        x *= shortfall
+        np.take(measured, order._users, out=x.a, mode="clip")
+        q *= x.a
+        x.a *= shortfall.a
         own, terms = x, shortfall
-    np.multiply(q, shortfall, out=terms)
-    grad = np.empty(P.shape)
+    np.multiply(q, shortfall.a, out=terms.a)
+    grad = np.empty(P.shape) if out is None else out
     # the loss terms are summed in user coordinates, in the order of a kernel
     # that never sorts
-    loss = float(np.sum(order._scatter(terms, grad, stage)) / m_norm)
+    loss = float(order._scatter(terms, grad, stage).sum() / m_norm)
     # a user's row gets its role as measured user i (if in f_rows) and as rival t
-    lead = order._lead(q, terms)
-    lead += own
+    lead = order._lead(hit, terms)
+    lead += own.a
     lead *= qg
-    order._scatter(lead, grad, stage)
+    order._scatter(terms, grad, stage)
     grad /= m_norm
     return loss, grad
 
@@ -317,8 +347,11 @@ def _penalty_loss_grad(P):
 
 
 def softmax_grad_chain(P, G) -> np.ndarray:
-    """Pull a gradient w.r.t. probabilities back through a row softmax."""
-    return P * (G - np.einsum("ij,ij->i", G, P)[:, None])
+    """Pull a gradient w.r.t. probabilities back through a row softmax, in
+    G's place (G is returned)."""
+    G -= np.einsum("ij,ij->i", G, P)[:, None]
+    G *= P
+    return G
 
 
 def finite_diff_grad(loss_fn, params, h: float = 1e-5) -> np.ndarray:

@@ -182,7 +182,11 @@ class Objective:
     changes: the full view, the weighted utility gradient of a view over
     every user and item, and S's order, sorted on the first step that
     evaluates inferiority on a view covering every user and item (a sampled
-    view sorts its sub-instance).
+    view sorts its sub-instance). It also holds the step's m x n buffers,
+    which every step writes into: P (logits only), the gradient and one
+    scratch array. So the gradient a call returns may be overwritten by the
+    next call (copy it to keep it), and one objective must not run two
+    calls at once.
 
     A term whose weight is 0 is not evaluated at all: no loss, no gradient,
     and its LossBreakdown field is None; with w2 = 0, S is never sorted.
@@ -203,6 +207,8 @@ class Objective:
         self._full = _full_view(*U.shape)
         # w3 times the utility gradient -(k/m) U, which does not depend on P
         self._utility_grad = weights.w3 * (-(k / U.shape[0]) * U)
+        self._P = np.empty(U.shape) if self.logits else None
+        self._G, self._scratch = np.empty(U.shape), np.empty(U.shape)
 
     @cached_property
     def order(self) -> SuitabilityOrder:
@@ -216,45 +222,64 @@ class Objective:
         w, k = self.weights, self.k
         m, n = self.U.shape
         view = self._full if view is None else view
-        P = row_softmax(params) if self.logits else params
+        P = row_softmax(params, out=self._P) if self.logits else params
         mv = view.users.size
         whole = mv == m and view.items.size == n
+        # a view over every user and item writes the weighted terms into the
+        # held gradient, the first directly and each later one through the
+        # scratch array; a sampled view's terms allocate their own
         if whole:
             sel, Uv, Sv, Pv = None, self.U, self.S, P
+            G, scratch = self._G, self._scratch
         else:
             sel = _view_index(view, m, n)
             Uv, Sv, Pv = self.U[sel], self.S[sel], P[sel]
-        # only the weighted terms are evaluated; G is w1 g_e + w2 g_f + w3 g_u,
+            G = scratch = None
+        # only the weighted terms are evaluated; grad is w1 g_e + w2 g_f + w3 g_u,
         # left to right over them
-        l_e = l_f = l_u = G = None
+        l_e = l_f = l_u = grad = None
         if w.w1:
-            l_e, g_e = _envy_loss_grad(Uv, Pv, k, mv)
-            G = w.w1 * g_e
+            l_e, grad = _envy_loss_grad(Uv, Pv, k, mv, out=G, scratch=scratch)
+            grad *= w.w1
         if w.w2:
             # a sampled view sorts its sub-instance
             order = self.order if whole else None
-            l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order)
-            G = w.w2 * g_f if G is None else G + w.w2 * g_f
+            l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order,
+                                              out=G if grad is None else scratch)
+            g_f *= w.w2
+            if grad is None:
+                grad = g_f
+            else:
+                grad += g_f
         if w.w3:
-            l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv, with_grad=not whole)
-            weighted_u = self._utility_grad if whole else w.w3 * g_u
-            # the held gradient is never handed out, so the caller may keep G
-            G = weighted_u.copy() if G is None else G + weighted_u
+            l_u, g_u = _utility_loss_grad(Uv, Pv, k, mv, with_grad=not whole, scratch=scratch)
+            if whole:
+                g_u = self._utility_grad
+            else:
+                g_u *= w.w3
+            if grad is not None:
+                grad += g_u
+            elif G is None:
+                grad = g_u
+            else:  # copied: the held utility gradient is never handed out
+                np.copyto(G, g_u)
+                grad = G
         scale = view.item_scale
         if scale != 1.0:
             l_e, l_f, l_u = (None if loss is None else loss * scale for loss in (l_e, l_f, l_u))
-            G = G * scale
+            grad *= scale
         if sel is not None:
-            G_full = np.zeros_like(P)
-            G_full[sel] = G
-            G = G_full
+            G = np.zeros_like(P)
+            G[sel] = grad
+            grad = G
         l_p = None
         if self.logits:
             l_p = 0.0  # the softmax keeps every row stochastic
-            G = softmax_grad_chain(P, G)
+            grad = softmax_grad_chain(P, grad)
         elif w.w4:
             l_p, g_p = _penalty_loss_grad(P)
-            G = G + w.w4 * g_p
+            g_p *= w.w4
+            grad += g_p
         terms = ((w.w1, l_e), (w.w2, l_f), (w.w3, l_u), (w.w4, l_p))
         total = sum(weight * loss for weight, loss in terms if weight)
         breakdown = LossBreakdown(
@@ -264,7 +289,7 @@ class Objective:
             penalty_loss=l_p,
             total=total,
         )
-        return breakdown, G
+        return breakdown, grad
 
 
 def loss_and_grad(U, S, params, k: int, weights: LossWeights, parametrization: str = "logits",
@@ -335,7 +360,8 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
         breakdown, G = objective(params, view)
         _check_finite(breakdown, step)
         breakdowns.append(breakdown)
-        params = params - config.learning_rate * G
+        G *= config.learning_rate
+        params -= G
         if _converged(breakdowns, config.convergence_tol):
             break
 

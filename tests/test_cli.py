@@ -246,16 +246,41 @@ class TestRun:
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [1], "methods": {"naive": {}}}
         cut_second_write(feir.core, "_counts.csv", error, at=1)
         out = tmp_path / "out"
-        if error is OSError:  # a failed save, like a failed solve, becomes an error row
+        # a failed save stops the run before its row is written
+        with pytest.raises(error):
             cmd_run(config, out, save_matrices=True)
-            assert [r["status"] for r in read_rows(out / "solutions.csv")] == [
-                "error: cut mid-write"]
-        else:
-            with pytest.raises(error):
-                cmd_run(config, out, save_matrices=True)
-            assert not out.exists()
-        assert not (out / "matrices").exists()
+        assert not out.exists()
         assert list(tmp_path.rglob(".*.tmp")) == []
+
+    def test_failed_save_stops_the_run_and_a_rerun_saves_its_row(self, tmp_path, intro_dataset,
+                                                                 monkeypatch):
+        config = {"seed": 4, "dataset": {"u_path": str(intro_dataset)}, "ks": [1],
+                  "methods": {"naive": {}, "shuffle": {"d": 2}, "rr": {"tau": 0.3}}}
+        whole = tmp_path / "whole"
+        cmd_run(config, whole, save_matrices=True)
+        real_save = feir.cli.save_matrix
+        calls = []
+
+        def full_once(M, path):
+            calls.append(path.name)
+            if len(calls) == 2:  # the shuffle row's counts
+                raise OSError("disk full")
+            real_save(M, path)
+
+        monkeypatch.setattr(feir.cli, "save_matrix", full_once)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            cmd_run(config, out, save_matrices=True)
+        # the rows before the failed save are kept, the failed row is not written
+        assert [r["method"] for r in read_rows(out / "solutions.csv")] == ["naive"]
+        assert [p.name for p in (out / "matrices").iterdir()] == [calls[0]]
+        # the re-run solves and saves the failed row, and the rows after it
+        assert cmd_run(config, out, save_matrices=True).read_bytes() == (
+            whole / "solutions.csv").read_bytes()
+        assert len(calls) == 4
+        assert sorted(p.name for p in (out / "matrices").iterdir()) == sorted(calls[:1] + calls[2:])
+        for path in (whole / "matrices").iterdir():
+            assert (out / "matrices" / path.name).read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [r + ["note" if i == 0 else "x"] for i, r in enumerate(rows)],
@@ -995,13 +1020,16 @@ class TestConfigSections:
          "['family', 'm', 'n', 'seed', 'group_fraction', 'group_boost'])"),
         ("generate", {"dataset": ["family"]}, "dataset config must be an object, got ['family']"),
         ("generate", {"seed": 3}, "generate needs a dataset with a 'family' entry"),
+        ("generate", {"sed": 9, "dataset": {"family": "user_groups", "m": 4, "n": 6}},
+         "unknown top-level config keys ['sed']; valid keys are "
+         "['seed', 'output_dir', 'dataset', 'ks', 'methods']"),
         ("report", ["axes"], "report config must be an object, got ['axes']"),
         ("report", {"axes": ["x"]}, "report axis config must be an object, got 'x'"),
         ("report", {"axes": {"x": "envy", "y": "utility"}},
          "report axes must be a list, got {'x': 'envy', 'y': 'utility'}"),
     ], ids=["top_level", "methods", "method", "method_null", "scaling", "dataset_list",
             "dataset_string", "dataset_missing", "generate_dataset", "generate_missing",
-            "report", "axis", "axes"])
+            "generate_top_level", "report", "axis", "axes"])
     def test_refused_before_anything_is_solved_or_written(self, tmp_path, monkeypatch,
                                                           command, config, message):
         solved = []

@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -482,7 +483,8 @@ class TestZeroWeightTerms:
                                       view)
             assert got[0] == expected, zeros
             assert np.array_equal(got[1], G), zeros
-            # an objective reused across steps hands out a gradient of its own
+            # an objective reused across steps recomputes its gradient,
+            # whatever its caller did to the last one
             objective = optim.Objective(pair.U, pair.S, k, weights, parametrization)
             for _ in range(2):
                 breakdown, G_again = objective(params, view)
@@ -537,6 +539,79 @@ class TestZeroWeightTerms:
         with pytest.raises(TrainingDiverged) as err:
             fit(pair, config)
         assert str(err.value) == message
+
+
+class TestHeldBuffers:
+    """A step on a view over every user and item writes into the objective's
+    held buffers and `fit` updates the parameters in place; neither moves a
+    bit of the descent."""
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize("scaling", [Scaling(), Scaling(kind="minibatch", b=3)],
+                             ids=lambda s: s.kind)
+    @pytest.mark.parametrize("weights", [(0.3, 3.0, 1.5, 0.5), (0.0, 3.0, 1.5, 0.5),
+                                         (0.3, 0.0, 1.5, 0.5)],
+                             ids=["all", "w1_zero", "w2_zero"])
+    def test_fit_equals_fresh_calls(self, parametrization, scaling, weights):
+        pair = generate(GenSpec("user_groups", 8, 20, seed=5))
+        # direct steps need a small rate to stay finite
+        rate = 0.7 if parametrization == "logits" else 0.005
+        config = TrainConfig(k=3, weights=LossWeights(*weights), learning_rate=rate,
+                             max_steps=60, convergence_tol=0.0,
+                             parametrization=parametrization, scaling=scaling, seed=2)
+        trace = fit(pair, config)
+        assert trace.step_count == 60
+        logits = parametrization == "logits"
+        params = pair.U.copy() if logits else row_softmax(pair.U)
+        for step, breakdown in enumerate(trace.steps):
+            view = make_training_view(pair, scaling, step, config.seed)
+            expected, G = optim.loss_and_grad(pair.U, pair.S, params, config.k,
+                                              config.weights, parametrization, view)
+            # the kernels' allocating assembly, as the step was before it held buffers
+            oracle, G_oracle = oracles.loss_and_grad_every_term(
+                pair.U, pair.S, params, config.k, config.weights, parametrization, view)
+            assert breakdown == expected == weighted_only(oracle, config.weights,
+                                                          parametrization), step
+            assert np.array_equal(G, G_oracle), step
+            params = params - config.learning_rate * G
+        P = row_softmax(params) if logits else optim._project_rows(params)
+        assert trace.final_policy.P.tobytes() == P.tobytes()
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize("scaling", [Scaling(), Scaling(kind="minibatch", b=20)],
+                             ids=lambda s: s.kind)
+    def test_warm_step_allocates_less_than_one_array(self, parametrization, scaling):
+        m, n = 200, 500
+        pair = generate(GenSpec("user_groups", m, n, seed=1))
+        objective = optim.Objective(pair.U, pair.S, 10, LossWeights(1, 3, 1), parametrization)
+        params = pair.U.copy() if parametrization == "logits" else row_softmax(pair.U)
+        view = make_training_view(pair, scaling, 0, seed=3)
+        objective(params, view)  # sorts S and allocates the order's workspace
+        tracemalloc.start()
+        try:
+            objective(params, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n
+
+    def test_gradients_and_their_aliasing(self):
+        pair = random_pair(30, 6, 9)
+        weights = LossWeights(1, 2, 1)
+        params = np.random.default_rng(31).normal(size=(6, 9))
+        first = optim.loss_and_grad(pair.U, pair.S, params, 2, weights)[1]
+        second = optim.loss_and_grad(pair.U, pair.S, params, 2, weights)[1]
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        # an objective's full-view gradient is its held buffer, which its next
+        # call overwrites; it never aliases the parameters
+        objective = optim.Objective(pair.U, pair.S, 2, weights)
+        G = objective(params)[1]
+        assert not np.shares_memory(G, params)
+        assert np.array_equal(G, first)
+        again = objective(params + 1.0)[1]
+        assert again is G
+        assert not np.array_equal(G, first)
 
 
 def sweep_rows(tmp_path, dataset, grid, k, **feir_cfg):
