@@ -21,14 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
-from .core import (Policy, ScorePair, _is_finite_real, _is_int, _is_real, _logsumexp,
-                   _replacing, load_scores, save_matrix, top_k, write_sidecar)
+from .core import (COUNT, INTEGER, INTEGERS, LIST, NUMBER, NUMBERS, OBJECT, PATH, TWO_FINITE,
+                   WEIGHT_GRID, Policy, ScorePair, _logsumexp, _replacing, checked, load_scores,
+                   one_of, save_matrix, top_k, write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
 PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
 KEY_COLUMNS = ["method", *PARAM_COLUMNS, "k", "seed"]
 METRIC_COLUMNS = [f for f in pareto.METRIC_FIELDS if f != "overall_fairness"]
+METRIC = one_of(METRIC_COLUMNS)
 SOLUTION_COLUMNS = [*KEY_COLUMNS, *METRIC_COLUMNS, "status"]
 
 DEFAULT_KS = [1, 5, 10, 20, 50, 100]
@@ -58,22 +60,13 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _object(what: str, cfg) -> dict:
-    """cfg, a JSON object; any other value raises ValueError."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{what} config must be an object, got {cfg!r}")
-    return cfg
-
-
-def _reject_unknown(what: str, cfg, valid) -> None:
-    extra = sorted(set(_object(what, cfg)) - set(valid))
+def _reject_unknown(what: str, cfg, valid) -> dict:
+    """cfg, a JSON object whose keys are all in valid; anything else raises ValueError."""
+    cfg = checked(OBJECT, f"{what} config", cfg)
+    extra = sorted(set(cfg) - set(valid))
     if extra:
         raise ValueError(f"unknown {what} config keys {extra}; valid keys are {list(valid)}")
-
-
-def _is_list(value) -> bool:
-    """A JSON array setting, as a list or a tuple."""
-    return isinstance(value, (list, tuple))
+    return cfg
 
 
 def _settings_keys(cls, *run_owned) -> tuple:
@@ -96,13 +89,14 @@ AXIS_KEYS = ("x", "y", "ref", "threshold")
 
 
 def _dataset_scores(config: dict) -> ScorePair:
-    ds = _object("dataset", config.get("dataset", {}))
+    ds = checked(OBJECT, "dataset config", config.get("dataset", {}))
     if "u_path" not in ds:
         return datagen.generate(_gen_spec(config))
     _reject_unknown("dataset", ds, DATASET_FILE_KEYS)
-    u_path, s_path = ds["u_path"], ds.get("s_path")
+    u_path = checked(PATH, "u_path", ds["u_path"])
+    s_path = None if ds.get("s_path") is None else checked(PATH, "s_path", ds["s_path"])
     for path in (u_path, s_path):
-        if path is not None and not Path(path).exists():
+        if path is not None and not path.exists():
             raise FileNotFoundError(f"dataset file {path} does not exist")
     return load_scores(u_path, s_path)
 
@@ -121,7 +115,7 @@ def _gen_spec(config: dict) -> datagen.GenSpec:
 def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     """Write the configured synthetic dataset as CSV files plus sidecars."""
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
-    if "family" not in _object("dataset", config.get("dataset", {})):
+    if "family" not in checked(OBJECT, "dataset config", config.get("dataset", {})):
         raise ValueError("generate needs a dataset with a 'family' entry")
     spec = _gen_spec(config)
     scores = datagen.generate(spec)
@@ -197,17 +191,11 @@ def _naive_runs(scores, cfg, k):
 def _feir_runs(scores, cfg, k):
     settings = {key: value for key, value in cfg.items() if key != "weight_grid"}
     if "scaling" in settings:
-        _reject_unknown("feir scaling", settings["scaling"], _settings_keys(Scaling))
-        settings["scaling"] = Scaling(**settings["scaling"])
+        settings["scaling"] = Scaling(**_reject_unknown("feir scaling", settings["scaling"],
+                                                        _settings_keys(Scaling)))
     grid_cfg = cfg.get("weight_grid")
-    if grid_cfg is None:
-        grid = default_weight_grid()
-    elif _is_list(grid_cfg) and grid_cfg and all(_is_list(w) and len(w) in (3, 4)
-                                                 for w in grid_cfg):
-        grid = [LossWeights(*w) for w in grid_cfg]
-    else:
-        raise ValueError("feir weight_grid must be a non-empty list of [w1, w2, w3] or "
-                         f"[w1, w2, w3, w4] lists, got {grid_cfg!r}")
+    grid = default_weight_grid() if grid_cfg is None else [
+        LossWeights(*w) for w in checked(WEIGHT_GRID, "feir weight_grid", grid_cfg)]
     base = TrainConfig(k=k, weights=grid[0], **settings)
     return [(asdict(weights), lambda seed, weights=weights:
              fit(scores, replace(base, weights=weights, seed=seed)).final_policy)
@@ -216,18 +204,13 @@ def _feir_runs(scores, cfg, k):
 
 def _shuffle_runs(scores, cfg, k):
     d = cfg.get("d")
-    if d is None:
-        d = min(3 * k, scores.n)
-    elif not _is_int(d) or d < 1:
-        raise ValueError(f"shuffle d must be an integer >= 1, got {d!r}")
-    return [({"d": int(d)}, lambda seed: baselines.shuffle(scores, k, d=d, seed=seed))]
+    d = min(3 * k, scores.n) if d is None else checked(COUNT, "shuffle d", d)
+    return [({"d": d}, lambda seed: baselines.shuffle(scores, k, d=d, seed=seed))]
 
 
 def _ca_runs(scores, cfg, k):
     settings = {key: value for key, value in cfg.items() if key != "epsilons"}
-    epsilons = cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1])
-    if not _is_list(epsilons):
-        raise ValueError(f"ca epsilons must be a list of numbers, got {epsilons!r}")
+    epsilons = checked(NUMBERS, "ca epsilons", cfg.get("epsilons", [0.001, 0.003, 0.01, 0.03, 0.1]))
     ca_cfgs = [baselines.CAConfig(epsilon=eps, **settings) for eps in epsilons]
     return [({"epsilon": ca_cfg.epsilon}, lambda seed, ca_cfg=ca_cfg:
              baselines.congestion_alleviation(scores, k, ca_cfg)) for ca_cfg in ca_cfgs]
@@ -281,20 +264,18 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     committed. Data-dependent failures become error-status rows and the run
     goes on. A failed matrix save (`save_matrices`) is not one: it stops
     the run before that row is written, keeping the earlier rows, so a
-    re-run solves and saves it. A config that is wrong whatever the data (a non-object section,
+    re-run solves and saves it. Every config value is held to its rule by
+    `core.checked`, so a config that is wrong whatever the data (a
+    non-object section, a family or scaling kind that is not one of its
+    names, a path that is not a string, an integer too large for a float,
     say), or an existing solutions.csv whose header is not SOLUTION_COLUMNS
     in some order, raises ValueError before anything is solved, and no file
     or directory is written; the README's "Command line" section lists each
     refusal and the settings table. Without `ks`, the DEFAULT_KS up to n run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
-    master_seed = config.get("seed", 0)
-    if not _is_int(master_seed):
-        raise ValueError(f"seed must be an integer, got {master_seed!r}")
-    master_seed = int(master_seed)
-    ks = config.get("ks")
-    if ks is not None and not (_is_list(ks) and all(_is_int(k) for k in ks)):
-        raise ValueError(f"ks must be a list of integers, got {ks!r}")
+    master_seed = checked(INTEGER, "seed", config.get("seed", 0))
+    ks = None if config.get("ks") is None else checked(INTEGERS, "ks", config["ks"])
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
@@ -320,15 +301,15 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
                     seed = master_seed if method == "naive" else derive_seed(
                         master_seed, method, params, k
                     )
-                    plan.append((method, params, k, seed, solve))
+                    key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
+                    plan.append((key, method, params, k, seed, solve))
 
     solutions_path = out_dir / "solutions.csv"
     rows = _read_solutions_csv(solutions_path) if solutions_path.exists() else []
     seen = {_row_key(r) for r in rows}
     save_dir = out_dir / "matrices" if save_matrices else None
     naive_k = naive_sys = None
-    for method, params, k, seed, solve in plan:
-        key = _row_key(_solution_row(pareto.SolutionPoint(method, params, k, seed)))
+    for key, method, params, k, seed, solve in plan:
         if key in seen:
             continue
         seen.add(key)
@@ -366,30 +347,20 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
     pair, or none, as it was. A report config or axis that is not an object
     or has an unknown key, `axes` that is not a list, an axis metric that
     solutions.csv does not hold (see METRIC_COLUMNS), a `ref` that is not two
-    finite numbers, a non-number `threshold`, or a solutions.csv whose header
-    is not SOLUTION_COLUMNS in some order raises ValueError before any write.
+    finite numbers, a `threshold` that is not a finite number, or a
+    solutions.csv whose header is not SOLUTION_COLUMNS in some order raises
+    ValueError before any write.
     """
     report_config = {} if report_config is None else report_config
     _reject_unknown("report", report_config, REPORT_KEYS)
-    axes = report_config.get("axes", DEFAULT_REPORT_AXES)
-    if not _is_list(axes):
-        raise ValueError(f"report axes must be a list, got {axes!r}")
-    for axis in axes:
-        _reject_unknown("report axis", axis, AXIS_KEYS)
-        for key in ("x", "y"):
-            if axis.get(key) not in METRIC_COLUMNS:
-                raise ValueError(f"report axis {key} must be one of {METRIC_COLUMNS}, "
-                                 f"got {axis.get(key)!r}")
-        name = f"{axis['x']}_vs_{axis['y']}"
-        ref = axis.get("ref")
-        if ref is not None and not (
-            _is_list(ref) and len(ref) == 2 and all(_is_finite_real(v) for v in ref)
-        ):
-            raise ValueError(f"report axis {name}: ref must be two finite numbers, got {ref!r}")
-        threshold = axis.get("threshold")
-        if threshold is not None and not _is_real(threshold):
-            raise ValueError(f"report axis {name}: threshold must be a number, "
-                             f"got {threshold!r}")
+    axes = []  # (x, y, ref, threshold) of each axis, ref and threshold None if absent
+    for axis in checked(LIST, "report axes", report_config.get("axes", DEFAULT_REPORT_AXES)):
+        axis = _reject_unknown("report axis", axis, AXIS_KEYS)
+        x_m, y_m = (checked(METRIC, f"report axis {key}", axis.get(key)) for key in ("x", "y"))
+        name = f"report axis {x_m}_vs_{y_m}: "
+        ref, threshold = (None if axis.get(key) is None else checked(rule, name + key, axis[key])
+                          for key, rule in (("ref", TWO_FINITE), ("threshold", NUMBER)))
+        axes.append((x_m, y_m, ref, threshold))
     groups = {}  # (k, method) -> that method's points at k, in file order
     for row in _read_solutions_csv(Path(solutions_path)):
         p = _solution_point(row)
@@ -405,9 +376,7 @@ def cmd_report(solutions_path: Path, report_config: dict | None, out_dir: Path) 
         hv_fh.write(",".join(["k", "axis", *(f"{cell}_{method}" for method in methods
                                              for cell in ("hv", "min"))]) + "\n")
         for k in ks:
-            for axis in axes:
-                x_m, y_m = axis["x"], axis["y"]
-                ref, threshold = axis.get("ref"), axis.get("threshold")
+            for x_m, y_m, ref, threshold in axes:
                 cells = [str(k), f"{x_m}_vs_{y_m}"]
                 for method in methods:
                     mine = groups.get((k, method), [])
@@ -602,10 +571,11 @@ def main(argv=None) -> int:
         print(f"wrote {pareto_path} and {hv_path}")
         return 0
 
-    config = _object("top-level", load_config(args.config))
+    config = checked(OBJECT, "top-level config", load_config(args.config))
     if args.seed is not None:
         config["seed"] = args.seed
-    out_dir = Path(args.out or config.get("output_dir", "out"))
+    output_dir = checked(PATH, "output_dir", config.get("output_dir", "out"))
+    out_dir = Path(args.out) if args.out else output_dir
 
     if args.command == "generate":
         for path in cmd_generate(config, out_dir):

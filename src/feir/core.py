@@ -342,6 +342,11 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _is_list(value) -> bool:
+    """A JSON array setting, as a list or a tuple."""
+    return isinstance(value, (list, tuple))
+
+
 class Rule(NamedTuple):
     """A setting's phrase in error messages, its test, and the type it is held as."""
 
@@ -354,9 +359,40 @@ POSITIVE = Rule("a positive number", lambda v: _is_real(v) and v > 0, float)
 NON_NEGATIVE = Rule("a number >= 0", lambda v: _is_real(v) and v >= 0, float)
 OPEN_UNIT = Rule("a number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1, float)
 HALF_OPEN_UNIT = Rule("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1, float)
+NUMBER = Rule("a number", _is_real, float)
 COUNT = Rule("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
+AT_LEAST_TWO = Rule("an integer >= 2", lambda v: _is_int(v) and v >= 2, int)
 INTEGER = Rule("an integer", _is_int, int)
 FLAG = Rule("true or false", lambda v: isinstance(v, bool), bool)
+OBJECT = Rule("an object", lambda v: isinstance(v, dict), dict)
+PATH = Rule("a path", lambda v: isinstance(v, (str, os.PathLike)), Path)
+LIST = Rule("a list", _is_list, list)
+INTEGERS = Rule("a list of integers", lambda v: _is_list(v) and all(map(_is_int, v)), list)
+# each entry is then held to the rule of the setting it fills
+NUMBERS = Rule("a list of numbers", _is_list, list)
+TWO_FINITE = Rule("two finite numbers",
+                  lambda v: _is_list(v) and len(v) == 2 and all(map(_is_finite_real, v)), list)
+WEIGHT_GRID = Rule("a non-empty list of [w1, w2, w3] or [w1, w2, w3, w4] lists",
+                   lambda v: _is_list(v) and len(v) > 0
+                   and all(_is_list(w) and len(w) in (3, 4) for w in v), list)
+
+
+def one_of(names) -> Rule:
+    """The rule of a string setting that must be one of `names`."""
+    names = tuple(names)
+    return Rule(f"one of {list(names)}", lambda v: isinstance(v, str) and v in names, str)
+
+
+def checked(rule: Rule, name: str, value):
+    """`value` held as `rule`'s type. A value that breaks the rule raises
+    ValueError "{name} must be {phrase}, got {value!r}", and an integer or a
+    number whose float is not finite (inf, nan or 10**400) "{name} must be
+    finite, got {value!r}"."""
+    if not rule.test(value):
+        raise ValueError(f"{name} must be {rule.phrase}, got {value!r}")
+    if rule.held in (int, float) and not _is_finite_real(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return rule.held(value)
 
 
 def setting(rule: Rule, default=MISSING):
@@ -365,18 +401,13 @@ def setting(rule: Rule, default=MISSING):
 
 
 def check_settings(obj, prefix: str = "") -> None:
-    """Hold each `setting` field of the dataclass `obj` to its rule, raising ValueError
-    "{prefix}{name} must be {phrase}, got {value!r}" (or "... must be finite" for a real
-    setting), then store the value as the rule's type, so 1 and 1.0 are one value."""
+    """Hold each `setting` field of the dataclass `obj` to its rule by `checked`,
+    named "{prefix}{name}", and store it as the rule's type, so 1 and 1.0 are one
+    value."""
     for f in fields(obj):
-        if "rule" not in f.metadata:
-            continue
-        rule, value = f.metadata["rule"], getattr(obj, f.name)
-        if not rule.test(value):
-            raise ValueError(f"{prefix}{f.name} must be {rule.phrase}, got {value!r}")
-        if rule.held is float and not _is_finite_real(value):
-            raise ValueError(f"{prefix}{f.name} must be finite, got {value!r}")
-        object.__setattr__(obj, f.name, rule.held(value))
+        if "rule" in f.metadata:
+            value = checked(f.metadata["rule"], prefix + f.name, getattr(obj, f.name))
+            object.__setattr__(obj, f.name, value)
 
 
 def _frozen_copy(arr, dtype=float) -> np.ndarray:

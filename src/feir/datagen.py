@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .core import INTEGER, OPEN_UNIT, POSITIVE, ScorePair, _logsumexp, check_settings, setting
+from .core import (AT_LEAST_TWO, INTEGER, OPEN_UNIT, POSITIVE, ScorePair, _logsumexp,
+                   check_settings, checked, one_of, setting)
 
 # family -> (default (m, n), None where both must be given; scale; the seed
 # stream of U, then of S when S is drawn on its own)
@@ -35,6 +36,8 @@ FAMILIES = {
     "item_groups": ((20, 100), 0.1, (3,)),
     "user_groups": ((20, 100), 0.1, (4,)),
 }
+
+FAMILY = one_of(FAMILIES)
 
 BASE_LOC = 0.5
 _EDGE = 1e-12  # keep inverse-CDF output strictly inside (0, 1)
@@ -47,25 +50,21 @@ class GenSpec:
     sampler's `ppf * scale + loc` cancels there and gives values as coarse
     as 0.9375, 0.5 or 1e-12, as scipy's `truncnorm.ppf` does."""
 
-    family: str
-    m: int | None = setting(INTEGER, None)
-    n: int | None = setting(INTEGER, None)
+    family: str = setting(FAMILY)
+    m: int | None = setting(AT_LEAST_TWO, None)
+    n: int | None = setting(AT_LEAST_TWO, None)
     seed: int = setting(INTEGER, 0)
     group_fraction: float = setting(OPEN_UNIT, 0.5)
     group_boost: float = setting(POSITIVE, 0.3)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        dims = FAMILIES[self.family][0]
         if self.m is None or self.n is None:
+            dims = FAMILIES[checked(FAMILY, "family", self.family)][0]
             if dims is None:
                 raise ValueError(f"family {self.family!r} needs explicit m and n")
             object.__setattr__(self, "m", dims[0] if self.m is None else self.m)
             object.__setattr__(self, "n", dims[1] if self.n is None else self.n)
         check_settings(self)
-        if self.m < 2 or self.n < 2:
-            raise ValueError("need m >= 2 and n >= 2")
         if self.family in ("item_groups", "user_groups"):
             size, unit = (self.n, "columns") if self.family == "item_groups" else (self.m, "rows")
             boosted = int(round(self.group_fraction * size))

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (COUNT, INTEGER, NON_NEGATIVE, POSITIVE, DimensionError, Policy, ScorePair,
-                   check_settings, row_softmax, setting)
+                   check_settings, checked, one_of, row_softmax, setting)
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -40,7 +40,8 @@ SCALING_KINDS = {
     "user_item_sample": ("m_s", "n_s"),
 }
 
-PARAMETRIZATIONS = ("logits", "direct")
+SCALING_KIND = one_of(SCALING_KINDS)
+PARAMETRIZATION = one_of(("logits", "direct"))
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,14 +60,13 @@ class Scaling:
     SCALING_KINDS) must be left None.
     """
 
-    kind: str = "none"
+    kind: str = setting(SCALING_KIND, "none")
     b: int | None = None
     m_s: int | None = None
     n_s: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SCALING_KINDS:
-            raise ValueError(f"unknown scaling kind {self.kind!r}")
+        check_settings(self, prefix="scaling ")
         reads = SCALING_KINDS[self.kind]
         for name in ("b", "m_s", "n_s"):
             value = getattr(self, name)
@@ -154,14 +154,11 @@ class TrainConfig:
     learning_rate: float = setting(POSITIVE, 10.0)
     max_steps: int = setting(COUNT, 2000)
     convergence_tol: float = setting(NON_NEGATIVE, 1e-6)
-    parametrization: str = "logits"
+    parametrization: str = setting(PARAMETRIZATION, "logits")
     scaling: Scaling = field(default_factory=Scaling)
     seed: int = setting(INTEGER, 0)
 
-    def __post_init__(self):
-        check_settings(self)
-        if self.parametrization not in PARAMETRIZATIONS:
-            raise ValueError(f"unknown parametrization {self.parametrization!r}")
+    __post_init__ = check_settings
 
 
 @dataclass
@@ -200,10 +197,8 @@ class Objective:
         S = np.asarray(S, dtype=float)
         if U.shape != S.shape:
             raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}")
-        if parametrization not in PARAMETRIZATIONS:
-            raise ValueError(f"unknown parametrization {parametrization!r}")
         self.U, self.S, self.k, self.weights = U, S, k, weights
-        self.logits = parametrization == "logits"
+        self.logits = checked(PARAMETRIZATION, "parametrization", parametrization) == "logits"
         self._full = _full_view(*U.shape)
         # w3 times the utility gradient -(k/m) U, which does not depend on P
         self._utility_grad = weights.w3 * (-(k / U.shape[0]) * U)

@@ -597,8 +597,8 @@ class TestRun:
         ("ca", {"max_iters": 5.5}, r"max_iters must be an integer >= 1, got 5\.5"),
         ("shuffle", {"d": 2.5}, r"shuffle d must be an integer >= 1, got 2\.5"),
         ("rr", {"tau": "0.3"}, r"tau must be a number in \[0, 1\), got '0\.3'"),
-        ("dataset", {"m": 6.0}, r"m must be an integer, got 6\.0"),
-        ("dataset", {"n": "8"}, r"n must be an integer, got '8'"),
+        ("dataset", {"m": 6.0}, r"m must be an integer >= 2, got 6\.0"),
+        ("dataset", {"n": "8"}, r"n must be an integer >= 2, got '8'"),
         # real-number settings are numbers, and neither strings nor bools
         ("feir", {"learning_rate": "0.5"}, r"learning_rate must be a positive number, got '0\.5'"),
         ("feir", {"learning_rate": True}, r"learning_rate must be a positive number, got True"),
@@ -644,6 +644,10 @@ class TestRun:
         ("ca", {"marginal_tol": float("inf")}, r"marginal_tol must be finite, got inf"),
         ("dataset", {"group_boost": 10**400}, r"group_boost must be finite"),
         ("dataset", {"group_boost": float("inf")}, r"group_boost must be finite, got inf"),
+        # an integer too large for a float; its row key's float(d) overflowed
+        # once the naive row was written
+        ("shuffle", {"d": 10**400}, r"^shuffle d must be finite, got 1000"),
+        ("dataset", {"m": 10**400}, r"^m must be finite, got 1000"),
     ], ids=["max_steps_float", "max_steps_bool", "max_steps_zero", "scaling_b_float",
             "ca_max_iters_float", "shuffle_d_float", "rr_tau_str", "dataset_m_float",
             "dataset_n_str",
@@ -655,7 +659,7 @@ class TestRun:
             "ca_epsilon_overflow", "ca_epsilon_inf", "learning_rate_overflow",
             "learning_rate_inf", "convergence_tol_overflow", "convergence_tol_inf",
             "ca_marginal_tol_overflow", "ca_marginal_tol_inf", "group_boost_overflow",
-            "group_boost_inf"])
+            "group_boost_inf", "shuffle_d_overflow", "dataset_m_overflow"])
     def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
                                                        bad, message):
         fits = []
@@ -918,9 +922,16 @@ class TestReport:
         ({"axes": [{"x": "envy", "y": "utility", "ref": [1.0, 10**400]}]},
          "report axis envy_vs_utility: ref must be two finite numbers, got [1.0, 1" + "0" * 400
          + "]"),
+        # a threshold is a number, so finite
+        ({"axes": [{"x": "envy", "y": "utility", "threshold": float("nan")}]},
+         "report axis envy_vs_utility: threshold must be finite, got nan"),
+        ({"axes": [{"x": "envy", "y": "utility", "threshold": float("-inf")}]},
+         "report axis envy_vs_utility: threshold must be finite, got -inf"),
+        ({"axes": [{"x": "envy", "y": "utility", "threshold": 10**400}]},
+         "report axis envy_vs_utility: threshold must be finite, got 1" + "0" * 400),
     ], ids=["misspelled", "not_stored", "missing_y", "axis_key", "report_key", "ref_one_number",
             "ref_bool", "ref_infinite", "ref_string", "threshold_string", "threshold_bool",
-            "ref_overflow"])
+            "ref_overflow", "threshold_nan", "threshold_infinite", "threshold_overflow"])
     def test_bad_axis_config_rejected_before_writing(self, solutions, tmp_path, report_cfg,
                                                      message):
         with pytest.raises(ValueError) as err:

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -21,8 +22,10 @@ from feir.core import (
     Policy,
     ScorePair,
     _logsumexp,
+    checked,
     load_matrix,
     load_scores,
+    one_of,
     row_softmax,
     save_matrix,
     top_k,
@@ -490,3 +493,35 @@ class TestTopK:
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
             top_k(np.array([[0.1, np.nan, 0.3]]), 1)
+
+
+class TestChecked:
+    @pytest.mark.parametrize("rule, value, held", [
+        (feir.core.INTEGER, np.int64(3), 3),
+        (feir.core.POSITIVE, 2, 2.0),
+        (feir.core.NUMBER, np.float32(0.5), 0.5),
+        (feir.core.PATH, "a/b.csv", Path("a/b.csv")),
+        (feir.core.TWO_FINITE, (1, 0.5), [1, 0.5]),
+        (one_of(["a", "b"]), np.str_("b"), "b"),
+    ])
+    def test_holds_the_value_as_the_rules_type(self, rule, value, held):
+        out = checked(rule, "x", value)
+        assert (out, type(out)) == (held, type(held))
+
+    @pytest.mark.parametrize("rule, value, message", [
+        (feir.core.INTEGER, True, "seed must be an integer, got True"),
+        (feir.core.COUNT, 1.0, "seed must be an integer >= 1, got 1.0"),
+        (feir.core.OBJECT, [1], "seed must be an object, got [1]"),
+        (feir.core.PATH, None, "seed must be a path, got None"),
+        (feir.core.INTEGERS, [1, "2"], "seed must be a list of integers, got [1, '2']"),
+        (one_of(["a", "b"]), ["a"], "seed must be one of ['a', 'b'], got ['a']"),
+        (one_of(["a", "b"]), {"a": 1}, "seed must be one of ['a', 'b'], got {'a': 1}"),
+        # a number or an integer whose float is not finite
+        (feir.core.NUMBER, float("nan"), "seed must be finite, got nan"),
+        (feir.core.POSITIVE, float("inf"), "seed must be finite, got inf"),
+        (feir.core.INTEGER, 10**400, "seed must be finite, got 1" + "0" * 400),
+    ])
+    def test_refusal_names_the_setting(self, rule, value, message):
+        with pytest.raises(ValueError) as err:
+            checked(rule, "seed", value)
+        assert str(err.value) == message

@@ -96,11 +96,31 @@ class TestGenSpec:
         ]
         assert [spec.label() for spec, _ in cases] == [label for _, label in cases]
 
-    @pytest.mark.parametrize("field, value", [
-        ("m", 4.0), ("n", "6"), ("m", True), ("seed", 1.5)])
-    def test_sizes_and_seed_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+    @pytest.mark.parametrize("field, value, phrase", [
+        ("m", 4.0, "an integer >= 2"), ("n", "6", "an integer >= 2"),
+        ("m", True, "an integer >= 2"), ("seed", 1.5, "an integer")])
+    def test_sizes_and_seed_must_be_integers(self, field, value, phrase):
+        with pytest.raises(ValueError, match=f"^{field} must be {phrase}, got {value!r}$"):
             GenSpec("random", **{"m": 4, "n": 6, field: value})
+
+    @pytest.mark.parametrize("field, value", [("m", 1), ("n", 0), ("n", -3)])
+    def test_sizes_below_two_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 2, got {value}$"):
+            GenSpec("random", **{"m": 4, "n": 6, field: value})
+
+    @pytest.mark.parametrize("family", [["user_groups"], {"user_groups": 1}, None, "weird"])
+    def test_family_must_be_a_known_name(self, family):
+        # a list or dict family raised TypeError (unhashable) before the rule
+        names = "['random', 'su_pair', 'item_groups', 'user_groups']"
+        for sizes in ({"m": 4, "n": 6}, {}):
+            with pytest.raises(ValueError) as err:
+                GenSpec(family, **sizes)
+            assert str(err.value) == f"family must be one of {names}, got {family!r}"
+
+    @pytest.mark.parametrize("field", ["m", "n", "seed"])
+    def test_integers_too_large_for_a_float_refused(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got 1000"):
+            GenSpec("user_groups", **{"m": 4, "n": 6, field: 10**400})
 
 
 class TestRandom:

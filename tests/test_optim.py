@@ -41,6 +41,14 @@ class TestScalingConfig:
         with pytest.raises(ValueError):
             Scaling(kind="bogus")
 
+    @pytest.mark.parametrize("kind", ["bogus", ["none"], {"none": 1}, None])
+    def test_kind_must_be_a_known_name(self, kind):
+        # a list or dict kind raised TypeError (unhashable) before the rule
+        with pytest.raises(ValueError) as err:
+            Scaling(kind=kind)
+        kinds = "['none', 'minibatch', 'user_sample', 'item_sample', 'user_item_sample']"
+        assert str(err.value) == f"scaling kind must be one of {kinds}, got {kind!r}"
+
     def test_required_fields(self):
         with pytest.raises(ValueError):
             Scaling(kind="minibatch")
@@ -151,6 +159,17 @@ class TestTrainConfig:
                 TrainConfig(k=1, weights=w, learning_rate=bad)
             with pytest.raises(ValueError, match="convergence_tol must be a number >= 0"):
                 TrainConfig(k=1, weights=w, convergence_tol=bad)
+
+    @pytest.mark.parametrize("parametrization", ["implicit", ["logits"], None])
+    def test_parametrization_must_be_a_known_name(self, parametrization):
+        message = f"parametrization must be one of ['logits', 'direct'], got {parametrization!r}"
+        for build in (lambda: TrainConfig(k=1, weights=LossWeights(1, 1, 1),
+                                          parametrization=parametrization),
+                      lambda: optim.Objective(np.full((2, 3), 0.5), np.full((2, 3), 0.5), 1,
+                                              LossWeights(1, 1, 1), parametrization)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("bad", [float("inf"), np.inf, 10**400])
     def test_non_finite_rejected(self, bad):
