@@ -22,8 +22,8 @@ import numpy as np
 
 from . import baselines, datagen, losses, metrics, pareto
 from .core import (COUNT, INTEGER, INTEGERS, LIST, NUMBER, NUMBERS, OBJECT, PATH, TWO_FINITE,
-                   WEIGHT_GRID, Policy, ScorePair, _logsumexp, _replacing, checked, load_scores,
-                   one_of, save_matrix, top_k, write_sidecar)
+                   WEIGHT_GRID, Policy, Rule, ScorePair, _logsumexp, _replacing, checked,
+                   load_scores, one_of, save_matrix, top_k, write_sidecar)
 from .losses import LossWeights
 from .optim import Scaling, TrainConfig, default_weight_grid, fit, loss_and_grad
 
@@ -31,6 +31,7 @@ PARAM_COLUMNS = ("w1", "w2", "w3", "w4", "d", "epsilon", "tau")
 KEY_COLUMNS = ["method", *PARAM_COLUMNS, "k", "seed"]
 METRIC_COLUMNS = [f for f in pareto.METRIC_FIELDS if f != "overall_fairness"]
 METRIC = one_of(METRIC_COLUMNS)
+KS = Rule("a non-empty list of integers", lambda v: INTEGERS.test(v) and len(v) > 0, list)
 SOLUTION_COLUMNS = [*KEY_COLUMNS, *METRIC_COLUMNS, "status"]
 
 DEFAULT_KS = [1, 5, 10, 20, 50, 100]
@@ -268,14 +269,14 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
     `core.checked`, so a config that is wrong whatever the data (a
     non-object section, a family or scaling kind that is not one of its
     names, a path that is not a string, an integer too large for a float,
-    say), or an existing solutions.csv whose header is not SOLUTION_COLUMNS
-    in some order, raises ValueError before anything is solved, and no file
-    or directory is written; the README's "Command line" section lists each
+    an empty `ks`, say), or an existing solutions.csv whose header is not
+    SOLUTION_COLUMNS in some order, raises ValueError before anything is
+    solved, and no file or directory is written; the README's "Command line" section lists each
     refusal and the settings table. Without `ks`, the DEFAULT_KS up to n run.
     """
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
     master_seed = checked(INTEGER, "seed", config.get("seed", 0))
-    ks = None if config.get("ks") is None else checked(INTEGERS, "ks", config["ks"])
+    ks = None if config.get("ks") is None else checked(KS, "ks", config["ks"])
     methods = config.get("methods", {})
     if not methods:
         raise ValueError("config enables no methods")
@@ -290,8 +291,6 @@ def cmd_run(config: dict, out_dir: Path, save_matrices: bool = False) -> Path:
         if outside:
             raise ValueError(f"ks {outside} outside [1, {scores.n}]")
     ks = sorted({int(k) for k in ks})
-    if not ks:
-        raise ValueError(f"no valid k for n={scores.n}")
     plan = []
     for k in ks:
         for method, (adapter, _) in METHODS.items():

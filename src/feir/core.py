@@ -360,6 +360,7 @@ NON_NEGATIVE = Rule("a number >= 0", lambda v: _is_real(v) and v >= 0, float)
 OPEN_UNIT = Rule("a number in (0, 1)", lambda v: _is_real(v) and 0 < v < 1, float)
 HALF_OPEN_UNIT = Rule("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1, float)
 NUMBER = Rule("a number", _is_real, float)
+AT_LEAST_ZERO = Rule("an integer >= 0", lambda v: _is_int(v) and v >= 0, int)
 COUNT = Rule("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
 AT_LEAST_TWO = Rule("an integer >= 2", lambda v: _is_int(v) and v >= 2, int)
 INTEGER = Rule("an integer", _is_int, int)

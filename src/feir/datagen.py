@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
-from .core import (AT_LEAST_TWO, INTEGER, OPEN_UNIT, POSITIVE, ScorePair, _logsumexp,
+from .core import (AT_LEAST_TWO, AT_LEAST_ZERO, OPEN_UNIT, POSITIVE, ScorePair, _logsumexp,
                    check_settings, checked, one_of, setting)
 
 # family -> (default (m, n), None where both must be given; scale; the seed
@@ -53,7 +53,7 @@ class GenSpec:
     family: str = setting(FAMILY)
     m: int | None = setting(AT_LEAST_TWO, None)
     n: int | None = setting(AT_LEAST_TWO, None)
-    seed: int = setting(INTEGER, 0)
+    seed: int = setting(AT_LEAST_ZERO, 0)
     group_fraction: float = setting(OPEN_UNIT, 0.5)
     group_boost: float = setting(POSITIVE, 0.3)
 

@@ -152,21 +152,32 @@ def _envy_loss_grad(U, P, k, m_norm, with_grad=True, *, out=None, scratch=None):
 
 
 class _Sorted:
-    """An (n, m) array in sorted coordinates and the views of it that the
-    running sums and the scatter read and write, each sliced once."""
+    """An array in sorted coordinates and the views of it that the running
+    sums, the gap products and the scatter read and write, each sliced once.
 
-    __slots__ = ("a", "flat", "T", "head", "head_rev", "tail", "tail_rev", "top", "bottom")
+    `a` is a float (pairs, m, 2) array whose [p, r, c] belongs to item
+    2p + c at sorted position r, made from the complex (pairs, m) array z,
+    which the running-sum views read. `items` is an item-major (n, m)
+    staging view of a's first n * m entries, and `T` its transpose."""
 
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.flat = a.reshape(-1)
-        self.T = a.T
-        self.head = a[:, :-1]  # every position but the top
+    __slots__ = ("a", "items", "T", "head", "head_rev", "tail", "tail_rev",
+                 "head_f", "tail_f", "top", "bottom")
+
+    def __init__(self, z: np.ndarray, n: int):
+        pairs, m = z.shape
+        self.a = z.view(np.float64).reshape(pairs, m, 2)
+        self.items = self.a.reshape(-1)[: n * m].reshape(n, m)
+        self.T = self.items.T
+        # complex views, for the running sums
+        self.head = z[:, :-1]  # every position but the top
         self.head_rev = self.head[:, ::-1]
-        self.tail = a[:, 1:]  # every position but the bottom
-        self.tail_rev = a[:, :0:-1]
-        self.top = a[:, -1:]
-        self.bottom = a[:, :1]
+        self.tail = z[:, 1:]  # every position but the bottom
+        self.tail_rev = z[:, :0:-1]
+        # float views, for the gap products and the zero ends
+        self.head_f = self.a[:, :-1]
+        self.tail_f = self.a[:, 1:]
+        self.top = self.a[:, -1:]
+        self.bottom = self.a[:, :1]
 
 
 class SuitabilityOrder:
@@ -182,11 +193,17 @@ class SuitabilityOrder:
     with no positive deficit is exactly 0. The sort need not be stable: tied
     users sit across a zero gap and get identical sums in any order.
 
-    Sorted coordinates are item-major: [j, r] is the user at sorted position
-    r on item j, so each item's users are contiguous and every suffix or
-    prefix sum runs along a row. An array moves into them by one transposed
-    copy and a take within each row (`_gather`), and back by a write within
-    each row and one transposed copy (`_scatter`).
+    Sorted coordinates hold items in pairs: [p, r, c] is the user at sorted
+    position r on item 2p + c, in a float (ceil(n/2), m, 2) array. Its memory
+    read as a complex (ceil(n/2), m) array puts items 2p and 2p + 1 in the
+    two parts of one number, so every suffix or prefix sum runs along a row
+    and each complex add advances two independent items: the same IEEE adds,
+    in the same order, as one running sum per item. Gap products stay on the
+    float view, where a complex product would mix the pair. For an odd n
+    the last pair's second lane repeats item n - 1 and is never written back.
+    An array enters sorted coordinates by one take of its flat entries
+    (`_gather`), and leaves by one take into an item-major staging view and
+    one transposed copy (`_scatter`).
 
     S never changes during a fit, so one order serves all of it. The
     training kernel (`_inferiority_loss_grad`) writes its intermediates into
@@ -197,58 +214,68 @@ class SuitabilityOrder:
     def __init__(self, S):
         S = np.asarray(S, dtype=float)
         m, n = S.shape
-        # flat index, in an (n, m) item-major array, of the user at sorted
-        # position r on item j
-        self._flat = np.ascontiguousarray(np.argsort(S, axis=0).T)
-        self._flat += np.arange(n)[:, None] * m
-        self._gap = np.diff(self._gather(S, self._empty(), self._empty()), axis=1)
+        pairs = -(-n // 2)
+        # [j, r] = the user at sorted position r on item j
+        ranked = np.argsort(S.T, axis=1)
+        # flat index, in user coordinates, that each sorted entry [p, r, c]
+        # reads: item 2p + c's (item n - 1's in the padding lane of an odd n)
+        lanes = np.minimum(np.arange(2 * pairs), n - 1)
+        reads = ranked[lanes]
+        reads *= n
+        reads += lanes[:, None]
+        self._flat = np.ascontiguousarray(reads.reshape(pairs, 2, m).transpose(0, 2, 1))
+        # item j = 2p + c's entry for user u, [j, u] in item-major order, holds
+        # the flat sorted index 2 (p m + r) + c of u's sorted position r
+        slot = np.arange(reads.size).reshape(pairs, m, 2).transpose(0, 2, 1).reshape(2 * pairs, m)
+        ranked += np.arange(n)[:, None] * m
+        self._inverse = np.empty((n, m), dtype=np.intp)
+        self._inverse.reshape(-1)[ranked] = slot[:n]
+        self._gap = np.diff(S.take(self._flat), axis=1)
 
-    def _empty(self) -> _Sorted:
-        return _Sorted(np.empty(self._flat.shape))
+    def _empty(self, z=None) -> _Sorted:
+        if z is None:
+            z = np.empty(self._flat.shape[:2], dtype=complex)
+        return _Sorted(z, self._inverse.shape[0])
 
-    def _gather(self, w, out: _Sorted, stage: _Sorted) -> np.ndarray:
-        """w (user coordinates) into `out` in sorted coordinates, through
-        its transposed copy in `stage`."""
-        np.copyto(stage.a, np.asarray(w).T)
-        return stage.a.take(self._flat, out=out.a, mode="clip")
+    def _gather(self, w, out: _Sorted) -> np.ndarray:
+        """w (user coordinates) into `out` in sorted coordinates."""
+        return np.asarray(w, dtype=float).take(self._flat, out=out.a, mode="clip")
 
     def _scatter(self, xs: _Sorted, out: np.ndarray, stage: _Sorted) -> np.ndarray:
         """The inverse of `_gather`: xs (sorted coordinates) into `out` in
-        user coordinates, through `stage`."""
-        stage.flat[self._flat] = xs.a
+        user coordinates, through `stage` (not xs)."""
+        xs.a.take(self._inverse, out=stage.items, mode="clip")
         np.copyto(out, stage.T)
         return out
 
     @cached_property
     def _workspace(self) -> tuple[np.ndarray, ...]:
-        # the training kernel's five (n, m) intermediates
-        return tuple(np.empty(self._flat.shape) for _ in range(5))
+        # the training kernel's five intermediates, m x n floats each (and
+        # one padding lane for an odd n)
+        return tuple(np.empty(self._flat.shape[:2], dtype=complex) for _ in range(5))
 
     @cached_property
     def _kernel_views(self) -> tuple[_Sorted, ...]:
-        return tuple(_Sorted(a) for a in self._workspace)
+        return tuple(self._empty(z) for z in self._workspace)
 
     @cached_property
     def _users(self) -> np.ndarray:
-        """[j, r] = the user at sorted position r on item j."""
-        return self._flat - np.arange(self._flat.shape[0])[:, None] * self._flat.shape[1]
+        """[p, r, c] = the user at sorted position r on item 2p + c."""
+        return self._flat // self._inverse.shape[0]
 
     @cached_property
     def _run_end(self) -> np.ndarray:
         # flat sorted index of the last position of each position's tie run;
         # a run ends at a positive gap or at the top
-        n, m = self._flat.shape
-        is_end = np.ones((n, m), dtype=bool)
-        is_end[:, :-1] = self._gap > 0
-        end = np.where(is_end, np.arange(m), m - 1)
-        end = np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
-        return end + np.arange(n)[:, None] * m
+        end = np.arange(self._flat.size).reshape(self._flat.shape)
+        end[:, :-1][~(self._gap > 0)] = end.size
+        return np.ascontiguousarray(np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1])
 
     @staticmethod
     def _weight_above(ws: _Sorted, out: _Sorted) -> np.ndarray:
         # out.head[:, r] sums the sorted weights ws[:, r+1:]
         np.add.accumulate(ws.tail_rev, axis=1, out=out.head_rev)
-        return out.head
+        return out.head_f
 
     def _shortfall(self, ws: _Sorted, out: _Sorted) -> np.ndarray:
         """`shortfall` of the gathered weights ws, into `out` (not ws), in
@@ -260,28 +287,27 @@ class SuitabilityOrder:
         return out.a
 
     def _lead(self, vs: _Sorted, out: _Sorted) -> np.ndarray:
-        """[j, r] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
-        position r, with vs = v in sorted coordinates, into `out` (not vs):
-        how far the weighted users below t trail it on item j."""
-        body = out.tail
-        np.add.accumulate(vs.head, axis=1, out=body)
-        body *= self._gap
-        np.add.accumulate(body, axis=1, out=body)
+        """[p, r, c] = sum_i d[i, t, j] * v[i, j] for the user t at sorted
+        position r on item j = 2p + c, with vs = v in sorted coordinates, into
+        `out` (not vs): how far the weighted users below t trail it on j."""
+        np.add.accumulate(vs.head, axis=1, out=out.tail)
+        out.tail_f *= self._gap
+        np.add.accumulate(out.tail, axis=1, out=out.tail)
         out.bottom.fill(0.0)
         return out.a
 
     def shortfall(self, w) -> np.ndarray:
         """[i, j] = sum_t d[i, t, j] * w[t, j]: how far user i trails the
         weighted users above it on item j."""
-        stage, ws = self._empty(), self._empty()
-        self._gather(w, ws, stage)
-        self._shortfall(ws, stage)
-        return self._scatter(stage, np.empty(stage.T.shape), ws)
+        ws, out = self._empty(), self._empty()
+        self._gather(w, ws)
+        self._shortfall(ws, out)
+        return self._scatter(out, np.empty(ws.T.shape), ws)
 
     def weight_strictly_above(self, w) -> np.ndarray:
         """[i, j] = sum of w[t, j] over the users t with S[t, j] > S[i, j]."""
         ws, above = self._empty(), self._empty()
-        self._gather(w, ws, stage=above)
+        self._gather(w, ws)
         self._weight_above(ws, above)
         above.top.fill(0.0)
         # each member of a tie run reads the weight above the run's last position
@@ -306,7 +332,7 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, *, out=None):
     stage, slope, hit, shortfall, x = order._kernel_views
     q, qg = hit.a, slope.a
     k = int(k)
-    order._gather(P, slope, stage)
+    order._gather(P, slope)
     with np.errstate(over="ignore"):  # as in hit_probability(_grad)
         np.subtract(1.0, qg, out=qg)
         np.copyto(q, qg)

@@ -70,12 +70,11 @@ class Scaling:
         reads = SCALING_KINDS[self.kind]
         for name in ("b", "m_s", "n_s"):
             value = getattr(self, name)
-            if name in reads and not COUNT.test(value):
-                raise ValueError(f"scaling {self.kind!r} requires an integer {name} >= 1, "
-                                 f"got {value!r}")
-            if name not in reads and value is not None:
+            if name in reads:
+                value = checked(COUNT, f"scaling {self.kind!r} {name}", value)
+                object.__setattr__(self, name, value)
+            elif value is not None:
                 raise ValueError(f"scaling {self.kind!r} does not read {name}, got {value!r}")
-            object.__setattr__(self, name, None if value is None else int(value))
 
     def validate_dims(self, m: int, n: int) -> None:
         """Reject a size this kind reads that exceeds the instance."""

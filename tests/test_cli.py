@@ -92,7 +92,7 @@ class TestGenerate:
         config = {"dataset": {"family": "user_groups", "m": 4, "n": 6, "seed": seed}}
         with pytest.raises(ValueError) as err:
             cmd_generate(config, tmp_path / "out")
-        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
@@ -371,8 +371,8 @@ class TestRun:
         ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
         ({"seed": "7"}, r"seed must be an integer, got '7'"),
         ({"seed": True}, r"seed must be an integer, got True"),
-        ({"ks": [True]}, r"ks must be a list of integers, got \[True\]"),
-        ({"ks": [2.0]}, r"ks must be a list of integers, got \[2\.0\]"),
+        ({"ks": [True]}, r"ks must be a non-empty list of integers, got \[True\]"),
+        ({"ks": [2.0]}, r"ks must be a non-empty list of integers, got \[2\.0\]"),
     ], ids=["sed", "kss", "ks_zero", "ks_above_n", "seed_float", "seed_str", "seed_bool",
             "ks_bool", "ks_float"])
     def test_bad_top_level_config_raises_before_solving(self, tmp_path, intro_dataset,
@@ -440,7 +440,7 @@ class TestRun:
 
     def test_empty_ks_rejected(self, tmp_path, intro_dataset):
         config = {"dataset": {"u_path": str(intro_dataset)}, "ks": [], "methods": {"naive": {}}}
-        with pytest.raises(ValueError, match="no valid k for n=3"):
+        with pytest.raises(ValueError, match=r"^ks must be a non-empty list of integers, got \[\]$"):
             cmd_run(config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -593,7 +593,7 @@ class TestRun:
         ("feir", {"max_steps": True}, r"max_steps must be an integer >= 1, got True"),
         ("feir", {"max_steps": 0}, r"max_steps must be an integer >= 1, got 0"),
         ("feir", {"scaling": {"kind": "minibatch", "b": 2.5}},
-         r"scaling 'minibatch' requires an integer b >= 1, got 2\.5"),
+         r"scaling 'minibatch' b must be an integer >= 1, got 2\.5"),
         ("ca", {"max_iters": 5.5}, r"max_iters must be an integer >= 1, got 5\.5"),
         ("shuffle", {"d": 2.5}, r"shuffle d must be an integer >= 1, got 2\.5"),
         ("rr", {"tau": "0.3"}, r"tau must be a number in \[0, 1\), got '0\.3'"),
@@ -648,6 +648,11 @@ class TestRun:
         # once the naive row was written
         ("shuffle", {"d": 10**400}, r"^shuffle d must be finite, got 1000"),
         ("dataset", {"m": 10**400}, r"^m must be finite, got 1000"),
+        # a scaling size too large for a float failed every fit as an error row
+        ("feir", {"scaling": {"kind": "minibatch", "b": 10**400}},
+         r"^scaling 'minibatch' b must be finite, got 1000"),
+        # a negative dataset seed escaped as numpy's "expected non-negative integer"
+        ("dataset", {"seed": -1}, r"^seed must be an integer >= 0, got -1$"),
     ], ids=["max_steps_float", "max_steps_bool", "max_steps_zero", "scaling_b_float",
             "ca_max_iters_float", "shuffle_d_float", "rr_tau_str", "dataset_m_float",
             "dataset_n_str",
@@ -659,7 +664,8 @@ class TestRun:
             "ca_epsilon_overflow", "ca_epsilon_inf", "learning_rate_overflow",
             "learning_rate_inf", "convergence_tol_overflow", "convergence_tol_inf",
             "ca_marginal_tol_overflow", "ca_marginal_tol_inf", "group_boost_overflow",
-            "group_boost_inf", "shuffle_d_overflow", "dataset_m_overflow"])
+            "group_boost_inf", "shuffle_d_overflow", "dataset_m_overflow", "scaling_b_overflow",
+            "dataset_seed_negative"])
     def test_non_integer_settings_raise_before_solving(self, tmp_path, monkeypatch, section,
                                                        bad, message):
         fits = []

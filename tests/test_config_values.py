@@ -18,10 +18,10 @@ from feir.cli import (AXIS_KEYS, DATASET_FILE_KEYS, DATASET_GEN_KEYS, METHODS, T
 from feir.core import save_matrix
 from feir.optim import Scaling
 
-# a value of every JSON type, and 0, which a falsy check would read as absent
-WRONG = [None, True, "x", 1.5, 10**400, float("nan"), float("inf"), [], [1], {}, {"a": 1}, 0]
+# a value of every JSON type, 0, which a falsy check would read as absent, and -1
+WRONG = [None, True, "x", 1.5, 10**400, float("nan"), float("inf"), [], [1], {}, {"a": 1}, 0, -1]
 WRONG_IDS = ["null", "true", "string", "real", "huge", "nan", "inf", "empty_list", "list",
-             "empty_object", "object", "zero"]
+             "empty_object", "object", "zero", "negative"]
 
 GENERATED = {"family": "user_groups", "m": 4, "n": 6, "seed": 1, "group_fraction": 0.5,
              "group_boost": 0.3}
@@ -70,9 +70,7 @@ def with_value(config, path, value):
 
 
 def names_key(message, key):
-    # an empty ks is refused by the range check of its k, which names k
-    pattern = r"\bks?\b" if key == "ks" else rf"\b{re.escape(key)}\b"
-    return re.search(pattern, message) is not None
+    return re.search(rf"\b{re.escape(key)}\b", message) is not None
 
 
 def statuses(path):

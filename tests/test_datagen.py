@@ -98,7 +98,9 @@ class TestGenSpec:
 
     @pytest.mark.parametrize("field, value, phrase", [
         ("m", 4.0, "an integer >= 2"), ("n", "6", "an integer >= 2"),
-        ("m", True, "an integer >= 2"), ("seed", 1.5, "an integer")])
+        ("m", True, "an integer >= 2"), ("seed", 1.5, "an integer >= 0"),
+        # numpy's SeedSequence refused a negative seed without naming it
+        ("seed", -1, "an integer >= 0")])
     def test_sizes_and_seed_must_be_integers(self, field, value, phrase):
         with pytest.raises(ValueError, match=f"^{field} must be {phrase}, got {value!r}$"):
             GenSpec("random", **{"m": 4, "n": 6, field: value})

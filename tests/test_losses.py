@@ -307,6 +307,19 @@ class TestItemMajorOrder:
         for k in (10, 1, 1000):
             assert_same_as_rank_major(order, S, P, k, f_rows, 200)
 
+    @pytest.mark.parametrize("f_rows", [np.arange(200), np.arange(3, 200, 10), np.array([7])])
+    def test_kernel_matches_rank_major_at_200_by_999(self, f_rows):
+        # an odd n leaves the last item pair one padding lane
+        rng = np.random.default_rng(6)
+        S = np.round(rng.uniform(0.0, 1.0, (200, 999)), 1)
+        P = random_policy(rng, 200, 999)
+        order = SuitabilityOrder(S)
+        for k in (10, 1, 999):
+            assert_same_as_rank_major(order, S, P, k, f_rows, 200)
+        w, ref = rng.uniform(-1, 2, (200, 999)), oracles.RankMajorOrder(S)
+        np.testing.assert_array_equal(order.shortfall(w), ref.shortfall(w))
+        np.testing.assert_array_equal(order.weight_strictly_above(w), ref.weight_strictly_above(w))
+
     @given(seed=st.integers(0, 10**6), m=st.integers(1, 8), n=st.integers(1, 8),
            tied=st.booleans(), binary=st.booleans())
     def test_shortfall_and_rivals_match_rank_major(self, seed, m, n, tied, binary):
@@ -320,12 +333,38 @@ class TestItemMajorOrder:
         np.testing.assert_array_equal(order.weight_strictly_above(w), ref.weight_strictly_above(w))
 
 
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1)])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 1), (1, 3), (5, 7)])
     def test_degenerate_shapes_match_rank_major(self, shape):
         S, w = np.zeros(shape), np.ones(shape)
         order, ref = SuitabilityOrder(S), oracles.RankMajorOrder(S)
         np.testing.assert_array_equal(order.shortfall(w), ref.shortfall(w))
         np.testing.assert_array_equal(order.weight_strictly_above(w), ref.weight_strictly_above(w))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_items_paired_in_one_lane_stay_independent(self, n):
+        # each item's sums and gradient column read that item's S and P
+        # column only, although two items share every complex running sum
+        rng = np.random.default_rng(n)
+        m, k = 9, 3
+        S, P = np.round(rng.uniform(0, 1, (m, n)), 1), random_policy(rng, m, n)
+        f_rows = np.array([0, 4, 5])
+
+        def per_item(S, P):
+            order, q = SuitabilityOrder(S), hit_probability(P, k)
+            shortfall = order.shortfall(q)
+            return [shortfall, q * shortfall, order.weight_strictly_above(P),
+                    _inferiority_loss_grad(S, P, k, np.arange(m), m, order=order)[1],
+                    _inferiority_loss_grad(S, P, k, f_rows, m, order=order)[1]]
+
+        before = per_item(S, P)
+        for j in range(n):
+            S2, P2 = S.copy(), P.copy()
+            S2[:, j] = rng.permutation(S[:, j])[::-1] + 0.05
+            P2[:, j] = rng.uniform(0, 1, m)
+            others = np.arange(n) != j
+            for a, b in zip(before, per_item(S2, P2)):
+                np.testing.assert_array_equal(a[:, others], b[:, others])
+                assert not np.array_equal(a[:, j], b[:, j])
 
 class TestKernelWorkspace:
     """The kernel's per-order workspace carries nothing from one call to the next."""

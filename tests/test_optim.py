@@ -49,6 +49,14 @@ class TestScalingConfig:
         kinds = "['none', 'minibatch', 'user_sample', 'item_sample', 'user_item_sample']"
         assert str(err.value) == f"scaling kind must be one of {kinds}, got {kind!r}"
 
+    @pytest.mark.parametrize("kind, size", [
+        ("minibatch", "b"), ("user_sample", "m_s"), ("item_sample", "n_s"),
+        ("user_item_sample", "m_s"), ("user_item_sample", "n_s")])
+    def test_sizes_too_large_for_a_float_refused(self, kind, size):
+        sizes = {name: 2 for name in SCALING_KINDS[kind]}
+        with pytest.raises(ValueError, match=f"^scaling '{kind}' {size} must be finite, got 1000"):
+            Scaling(kind, **{**sizes, size: 10**400})
+
     def test_required_fields(self):
         with pytest.raises(ValueError):
             Scaling(kind="minibatch")
