@@ -31,7 +31,6 @@ from .losses import (
     LossBreakdown,
     LossWeights,
     MCEstimate,
-    expected_pair_envy,
     expected_pair_inferiority,
     expected_user_utility,
     finite_diff_grad,
@@ -46,9 +45,6 @@ from .metrics import (
     inferiority_by_user,
     normalized_metrics,
     system_metrics,
-    user_envy,
-    user_inferiority,
-    user_utility,
 )
 from .optim import (
     Scaling,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (COUNT, FLAG, HALF_OPEN_UNIT, INTEGER, POSITIVE, CountMatrix, Policy,
+from .core import (AT_LEAST_ZERO, COUNT, FLAG, HALF_OPEN_UNIT, POSITIVE, CountMatrix, Policy,
                    ScorePair, _logsumexp, check_settings, row_softmax, setting, top_k)
 
 
@@ -34,7 +34,7 @@ class RRConfig:
     seed, and whether an item may be allocated to at most one user overall."""
 
     tau: float = setting(HALF_OPEN_UNIT, 0.0)
-    seed: int = setting(INTEGER, 0)
+    seed: int = setting(AT_LEAST_ZERO, 0)
     exclusive: bool = setting(FLAG, True)
 
     __post_init__ = check_settings

@@ -116,6 +116,7 @@ def _gen_spec(config: dict) -> datagen.GenSpec:
 def cmd_generate(config: dict, out_dir: Path) -> list[Path]:
     """Write the configured synthetic dataset as CSV files plus sidecars."""
     _reject_unknown("top-level", config, TOP_LEVEL_KEYS)
+    checked(INTEGER, "seed", config.get("seed", 0))  # as cmd_run, even if the dataset sets its own
     if "family" not in checked(OBJECT, "dataset config", config.get("dataset", {})):
         raise ValueError("generate needs a dataset with a 'family' entry")
     spec = _gen_spec(config)
@@ -422,6 +423,7 @@ def cmd_check(fast: bool = False) -> int:
         pair = ScorePair(rng.uniform(0.05, 0.95, (m, n)), rng.uniform(0.05, 0.95, (m, n)))
         P = np.apply_along_axis(lambda r: r / r.sum(), 1, rng.uniform(0.05, 1.0, (m, n)))
         est = losses.mc_estimate(pair.U, pair.S, P, k, samples, seed=int(rng.integers(2**31)))
+        envy = losses.pair_envy_matrix(pair.U, P, k)  # the envy that training runs
         for i in range(m):
             z = abs(est.utility_mean[i] - losses.expected_user_utility(i, pair.U, P, k))
             se = max(est.utility_se[i], 1e-12)
@@ -429,7 +431,7 @@ def cmd_check(fast: bool = False) -> int:
             for t in range(m):
                 if t == i:
                     continue
-                z = abs(est.envy_mean[i, t] - losses.expected_pair_envy(i, t, pair.U, P, k))
+                z = abs(est.envy_mean[i, t] - envy[i, t])
                 worst = max(worst, z / max(est.envy_se[i, t], 1e-12))
                 z = abs(
                     est.inferiority_mean[i, t]

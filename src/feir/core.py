@@ -35,7 +35,7 @@ class NumericError(ValueError):
     """An operation received non-finite input."""
 
 
-def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     """Read a headerless CSV of decimal values into a 2-D float array.
 
     Every row must have the same number of comma-separated fields; blank
@@ -45,8 +45,7 @@ def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarra
     empty is read again by `_parse_per_token`, one `float()` call per
     token, which decides what is accepted. So both paths give the same
     values, and a bad file the same error. Raises MatrixFormatError (with
-    the offending row/column) for empty, ragged or non-numeric input and
-    DimensionError when `expected_dims` is given and does not match.
+    the offending row/column) for empty, ragged or non-numeric input.
     """
     path = Path(path)
     try:
@@ -59,10 +58,6 @@ def load_matrix(path, expected_dims: tuple[int, int] | None = None) -> np.ndarra
         M = None
     if M is None or M.size == 0:
         M = _parse_per_token(path)
-    if expected_dims is not None and M.shape != tuple(expected_dims):
-        raise DimensionError(
-            f"{path}: expected {expected_dims[0]}x{expected_dims[1]}, got {M.shape[0]}x{M.shape[1]}"
-        )
     return M
 
 

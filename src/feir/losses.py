@@ -74,25 +74,10 @@ def hit_probability(P, k: int) -> np.ndarray:
         return 1.0 - (1.0 - np.asarray(P, dtype=float)) ** int(k)
 
 
-def hit_probability_grad(P, k: int) -> np.ndarray:
-    """d/dp of 1-(1-p)^k, i.e. k (1-p)^(k-1), exact in 1 - p as above."""
-    with np.errstate(over="ignore"):
-        return k * (1.0 - np.asarray(P, dtype=float)) ** (int(k) - 1)
-
-
 def expected_user_utility(i: int, U, P, k: int) -> float:
     U = np.asarray(U)
     P = np.asarray(P)
     return float(k * np.dot(P[i], U[i]))
-
-
-def expected_pair_envy(i: int, i_star: int, U, P, k: int) -> float:
-    """Signed expected envy from i toward i_star (hinge applied system-side)."""
-    if i == i_star:
-        raise ValueError("envy is defined between two distinct users")
-    U = np.asarray(U)
-    P = np.asarray(P)
-    return float(k * np.dot(P[i_star] - P[i], U[i]))
 
 
 def expected_pair_inferiority(i: int, i_star: int, S, P, k: int) -> float:
@@ -105,7 +90,8 @@ def expected_pair_inferiority(i: int, i_star: int, S, P, k: int) -> float:
 
 
 def pair_envy_matrix(U, P, k: int) -> np.ndarray:
-    """All pairwise expected envies; entry [i, t] is envy from i toward t.
+    """All pairwise expected envies; entry [i, t] is the signed envy from i
+    toward t (the hinge is applied system-side).
 
     With a count matrix for P and k=1 it is the realized pairwise envy; a
     scipy.sparse count matrix costs a product over its nonzeros only.
@@ -333,7 +319,7 @@ def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, *, out=None):
     q, qg = hit.a, slope.a
     k = int(k)
     order._gather(P, slope)
-    with np.errstate(over="ignore"):  # as in hit_probability(_grad)
+    with np.errstate(over="ignore"):  # as in hit_probability
         np.subtract(1.0, qg, out=qg)
         np.copyto(q, qg)
         q **= k

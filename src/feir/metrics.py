@@ -123,38 +123,6 @@ class NormalizedMetrics:
     overall_norm: float | None
 
 
-def user_utility(i: int, U, C) -> float:
-    """Utility of user i's list: sum over items of score times count."""
-    C = _counts(C)
-    return float(np.dot(np.asarray(U)[i], C[i]))
-
-
-def user_envy(i: int, i_star: int, U, C) -> float:
-    """Signed envy from user i toward i_star, valued with i's own utilities.
-
-    Positive means i would prefer i_star's list to their own.
-    """
-    if i == i_star:
-        raise ValueError("envy is defined between two distinct users")
-    C = _counts(C)
-    U = np.asarray(U)
-    return float(np.dot(U[i], C[i_star] - C[i]))
-
-
-def user_inferiority(i: int, i_star: int, S, C) -> float:
-    """Suitability deficit of i against i_star on commonly recommended items.
-
-    An item recommended to both counts once regardless of repeat counts, and
-    only when i_star is strictly more suitable. Always >= 0.
-    """
-    if i == i_star:
-        raise ValueError("inferiority is defined between two distinct users")
-    C = _counts(C)
-    S = np.asarray(S)
-    common = np.minimum(1, C[i] * C[i_star])
-    return float(np.sum(np.maximum(0.0, S[i_star] - S[i]) * common))
-
-
 def system_metrics(U, S, C, picks: _Picks | None = None) -> SystemMetrics:
     """System utility, envy, and inferiority of a realized recommendation.
 

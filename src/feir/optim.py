@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (COUNT, INTEGER, NON_NEGATIVE, POSITIVE, DimensionError, Policy, ScorePair,
+from .core import (AT_LEAST_ZERO, COUNT, NON_NEGATIVE, POSITIVE, DimensionError, Policy, ScorePair,
                    check_settings, checked, one_of, row_softmax, setting)
 from .losses import (
     LossBreakdown,
@@ -155,7 +155,7 @@ class TrainConfig:
     convergence_tol: float = setting(NON_NEGATIVE, 1e-6)
     parametrization: str = setting(PARAMETRIZATION, "logits")
     scaling: Scaling = field(default_factory=Scaling)
-    seed: int = setting(INTEGER, 0)
+    seed: int = setting(AT_LEAST_ZERO, 0)
 
     __post_init__ = check_settings
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import truncnorm
 
-from feir.core import CountMatrix, DimensionError, MatrixFormatError, _logsumexp, row_softmax
+from feir.core import CountMatrix, MatrixFormatError, _logsumexp, row_softmax
 from feir.losses import (
     LossBreakdown,
     SuitabilityOrder,
@@ -16,7 +16,6 @@ from feir.losses import (
     _penalty_loss_grad,
     _utility_loss_grad,
     hit_probability,
-    hit_probability_grad,
     pair_envy_matrix,
     softmax_grad_chain,
 )
@@ -157,7 +156,7 @@ def inferiority_loss_grad_dense(S, P, k, f_rows, m_norm):
     """The expected-inferiority loss and gradient of the training kernel,
     built from the dense (i, t, j) deficit tensor in O(m^2 n) memory."""
     q = hit_probability(P, k)
-    qg = hit_probability_grad(P, k)
+    qg = k * (1.0 - P) ** (k - 1)  # d/dP of q
     # deficit[i, t, j] = max(0, S[t, j] - S[f_rows[i], j]); the t == i slice is 0
     deficit = np.maximum(0.0, S[None, :, :] - S[f_rows][:, None, :])
     loss = float(np.einsum("itj,ij,tj->", deficit, q[f_rows], q) / m_norm)
@@ -198,7 +197,7 @@ def save_matrix_per_element(matrix, path):
             fh.write("\n")
 
 
-def load_matrix_per_token(path, expected_dims=None):
+def load_matrix_per_token(path):
     """Reference CSV matrix reader: one `float()` call per token, blank lines
     skipped. `core.load_matrix` must return the same values, or raise the
     same exception type with the same message."""
@@ -225,12 +224,7 @@ def load_matrix_per_token(path, expected_dims=None):
             rows.append(parsed)
     if not rows:
         raise MatrixFormatError(f"{path}: empty matrix file")
-    M = np.array(rows, dtype=float)
-    if expected_dims is not None and M.shape != tuple(expected_dims):
-        raise DimensionError(
-            f"{path}: expected {expected_dims[0]}x{expected_dims[1]}, got {M.shape[0]}x{M.shape[1]}"
-        )
-    return M
+    return np.array(rows, dtype=float)
 
 
 def truncated_normal_whole(shape, seed_key, loc, scale):

@@ -229,8 +229,9 @@ class TestRoundRobin:
         with pytest.raises(ValueError, match="exclusive must be true or false"):
             RRConfig(exclusive=exclusive)
 
-    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, -1])
     def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        # numpy's generators take no negative seed, so the setting refuses one
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
             RRConfig(seed=seed)
         assert type(RRConfig(seed=np.int64(3)).seed) is int

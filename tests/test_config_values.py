@@ -1,9 +1,9 @@
-"""Every key of a full run config and of a report axis, set to each wrong
-JSON type in turn. A command either runs, with no error row but those the
-README documents, or raises a ValueError that names the key and leaves no
-directory behind; a dataset file that does not exist raises
-FileNotFoundError instead. The keys come from the schema that `feir.cli`
-declares, so a new key is covered as soon as a section reads it."""
+"""Every key of a full run config, of a generate config and of a report
+axis, set to each wrong JSON type in turn. A command either runs, with no
+error row but those the README documents, or raises a ValueError that names
+the key and leaves no directory behind; a dataset file that does not exist
+raises FileNotFoundError instead. The keys come from the schema that
+`feir.cli` declares, so a new key is covered as soon as a section reads it."""
 
 import csv
 import json
@@ -124,6 +124,25 @@ def test_full_run_config_runs_clean(tmp_path, score_files):
         config = {"ks": [2], "dataset": dataset, "methods": METHOD_CONFIGS}
         rows = statuses(cmd_run(config, tmp_path / form))
         assert rows == ["ok"] * 5
+
+
+GENERATE_KEY_PATHS = [("seed",), ("output_dir",)] + [("dataset", key) for key in DATASET_GEN_KEYS]
+
+
+@pytest.mark.parametrize("value", WRONG, ids=WRONG_IDS)
+@pytest.mark.parametrize("path", GENERATE_KEY_PATHS,
+                         ids=[".".join(path) for path in GENERATE_KEY_PATHS])
+def test_generate_config_value(tmp_path, monkeypatch, path, value):
+    # a config that generate writes, run accepts too: the top-level seed is
+    # checked even where the dataset's own seed is the one drawn from
+    monkeypatch.chdir(tmp_path)
+    config = with_value({"seed": 3, "output_dir": "out", "dataset": GENERATED}, path, value)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["generate", "--config", "config.json", "--out", "data"]
+    if run_main(tmp_path, argv, path[-1], value, tmp_path / "data"):
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+            "user_groups_U.csv", "user_groups_U.meta.json"]
+        cmd_run({**config, "ks": [2], "methods": {"naive": {}}}, tmp_path / "run")
 
 
 @pytest.fixture(scope="module")

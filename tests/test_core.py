@@ -127,13 +127,6 @@ class TestMatrixIO:
         with pytest.raises(MatrixFormatError, match="row 1, column 1"):
             load_matrix(path)
 
-    def test_dimension_check(self, tmp_path):
-        path = tmp_path / "u.csv"
-        path.write_text("0.1,0.2\n0.3,0.4\n")
-        load_matrix(path, expected_dims=(2, 2))
-        with pytest.raises(DimensionError):
-            load_matrix(path, expected_dims=(3, 2))
-
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         M = rng.uniform(0.001, 0.999, size=(7, 5))

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +13,10 @@ from feir.losses import (
     SuitabilityOrder,
     _inferiority_loss_grad,
     _penalty_loss_grad,
-    expected_pair_envy,
     expected_pair_inferiority,
     expected_user_utility,
     finite_diff_grad,
     hit_probability,
-    hit_probability_grad,
     mc_estimate,
     pair_envy_matrix,
 )
@@ -93,15 +90,11 @@ class TestExpectedValues:
 
     def test_envy_equal_rows(self):
         P = np.full((2, 3), 1 / 3)
-        assert expected_pair_envy(0, 1, INTRO_U, P, 2) == 0.0
+        assert pair_envy_matrix(INTRO_U, P, 2)[0, 1] == 0.0
 
     def test_envy_degenerate_matches_deterministic(self):
         P = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert expected_pair_envy(0, 1, INTRO_U, P, 1) == pytest.approx(0.4, abs=1e-12)
-
-    def test_envy_same_user_rejected(self):
-        with pytest.raises(ValueError):
-            expected_pair_envy(2, 2, INTRO_U, INTRO_U, 1)
+        assert pair_envy_matrix(INTRO_U, P, 1)[0, 1] == pytest.approx(0.4, abs=1e-12)
 
     def test_inferiority_onehot_same_item(self):
         P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -127,7 +120,7 @@ class TestExpectedValues:
         k = 2
         envy_ref = oracles.expected_envy_bruteforce(0, 1, U.tolist(), P.tolist(), k)
         inf_ref = oracles.expected_inferiority_bruteforce(0, 1, S.tolist(), P.tolist(), k)
-        assert expected_pair_envy(0, 1, U, P, k) == pytest.approx(envy_ref, abs=1e-10)
+        assert pair_envy_matrix(U, P, k)[0, 1] == pytest.approx(envy_ref, abs=1e-10)
         assert expected_pair_inferiority(0, 1, S, P, k) == pytest.approx(inf_ref, abs=1e-10)
 
 
@@ -140,19 +133,6 @@ class TestHitProbability:
         p = np.array([[1 - 1e-13]])
         q = hit_probability(p, 2)
         assert 0.0 < q[0, 0] <= 1.0
-
-    def test_grad_matches_finite_difference(self):
-        p = np.array([[0.2, 0.5, 0.8]])
-        h = 1e-7
-        fd = (hit_probability(p + h, 4) - hit_probability(p - h, 4)) / (2 * h)
-        np.testing.assert_allclose(hit_probability_grad(p, 4), fd, atol=1e-6)
-
-    @pytest.mark.parametrize("k", [4, 10])
-    def test_grad_exact_near_one(self, k):
-        # 1 - p is exact for p >= 0.5, so k (1-p)^(k-1) only rounds the power
-        p = np.array([1 - 1e-13, 1 - 5e-14])
-        exact = [float(k * (1 - Fraction(x)) ** (k - 1)) for x in p]
-        np.testing.assert_allclose(hit_probability_grad(p, k), exact, rtol=1e-15, atol=0)
 
 
 class TestSystemLosses:
@@ -194,8 +174,6 @@ class TestSystemLosses:
         assert l_f > 0.0
 
     def test_degenerate_onehot_matches_deterministic(self):
-        import feir.metrics as metrics
-
         rng = np.random.default_rng(9)
         U = rng.uniform(0.01, 0.99, (3, 5))
         S = rng.uniform(0.01, 0.99, (3, 5))
@@ -205,18 +183,17 @@ class TestSystemLosses:
         P[np.arange(3), cols] = 1.0
         C = np.zeros((3, 5), dtype=int)
         C[np.arange(3), cols] = k
+        envy = pair_envy_matrix(U, P, k)
         for i in range(3):
             assert expected_user_utility(i, U, P, k) == pytest.approx(
-                metrics.user_utility(i, U, C), abs=1e-12
+                oracles.utility_user(i, U, C), abs=1e-12
             )
             for t in range(3):
                 if i == t:
                     continue
-                assert expected_pair_envy(i, t, U, P, k) == pytest.approx(
-                    metrics.user_envy(i, t, U, C), abs=1e-12
-                )
+                assert envy[i, t] == pytest.approx(oracles.envy_user(i, t, U, C), abs=1e-12)
                 assert expected_pair_inferiority(i, t, S, P, k) == pytest.approx(
-                    metrics.user_inferiority(i, t, S, C), abs=1e-12
+                    oracles.inferiority_user(i, t, S, C), abs=1e-12
                 )
 
 
@@ -244,7 +221,7 @@ class TestInferiorityKernel:
         # rounding relative to the result; once terms can cancel, the errors
         # are relative to the largest possible sum of term sizes instead
         q = np.abs(hit_probability(P, k)).max()
-        qg = np.abs(hit_probability_grad(P, k)).max()
+        qg = k * (np.abs(1 - P) ** (k - 1)).max()
         atol = 0.0 if in_range else 1e-12 * 2 * m * n * q * max(q, qg)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
@@ -558,7 +535,7 @@ class TestMonteCarlo:
         assert est.utility_se.max() < 1e-12
         assert est.utility_mean[0] == pytest.approx(2 * 0.2, abs=1e-12)
         assert est.envy_mean[0, 1] == pytest.approx(
-            expected_pair_envy(0, 1, INTRO_U, P, 2), abs=1e-12
+            pair_envy_matrix(INTRO_U, P, 2)[0, 1], abs=1e-12
         )
 
     @settings(max_examples=10)

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 import oracles
 from feir.core import DimensionError, top_k
+from feir.losses import pair_envy_matrix
 from feir.metrics import (
     competition_metrics,
     gini_index,
     inferiority_by_user,
     normalized_metrics,
     system_metrics,
-    user_envy,
-    user_inferiority,
-    user_utility,
 )
 
 INTRO_U = np.array([[0.2, 0.6, 0.9], [0.1, 0.8, 0.7]])
@@ -22,46 +20,49 @@ SECOND_TOY = np.array([[0.1, 0.9, 0.8], [0.4, 0.6, 0.5]])
 
 
 class TestUserLevel:
+    """Per-user values on the introductory matrices: utility through the
+    reference, envy as `pair_envy_matrix(U, C, 1)` and, with two users,
+    inferiority as `inferiority_by_user`."""
+
     def test_utility_single_item(self):
         C = np.array([[0, 0, 1], [0, 0, 1]])
-        assert user_utility(0, INTRO_U, C) == pytest.approx(0.9, abs=1e-12)
+        assert oracles.utility_user(0, INTRO_U, C) == pytest.approx(0.9, abs=1e-12)
 
     def test_utility_repeated_item_is_linear(self):
         C = np.array([[0, 3, 0], [0, 0, 3]])
-        assert user_utility(0, INTRO_U, C) == pytest.approx(3 * 0.6, abs=1e-12)
+        assert oracles.utility_user(0, INTRO_U, C) == pytest.approx(3 * 0.6, abs=1e-12)
 
     def test_utility_two_items(self):
         C = np.array([[0, 1, 1], [0, 1, 1]])
-        assert user_utility(1, INTRO_U, C) == pytest.approx(1.5, abs=1e-12)
+        assert oracles.utility_user(1, INTRO_U, C) == pytest.approx(1.5, abs=1e-12)
 
     def test_envy_split_recommendation(self):
         C = np.array([[1, 0, 0], [0, 1, 0]])
-        assert user_envy(0, 1, INTRO_U, C) == pytest.approx(0.4, abs=1e-12)
-        assert user_envy(1, 0, INTRO_U, C) == pytest.approx(-0.7, abs=1e-12)
+        envy = pair_envy_matrix(INTRO_U, C, 1)
+        assert envy[0, 1] == pytest.approx(0.4, abs=1e-12)
+        assert envy[1, 0] == pytest.approx(-0.7, abs=1e-12)
 
     def test_envy_identical_lists(self):
         C = np.array([[1, 0, 1], [1, 0, 1]])
-        assert user_envy(0, 1, INTRO_U, C) == 0.0
-
-    def test_envy_same_user_rejected(self):
-        with pytest.raises(ValueError):
-            user_envy(1, 1, INTRO_U, np.eye(2, 3, dtype=int))
+        assert pair_envy_matrix(INTRO_U, C, 1)[0, 1] == 0.0
 
     def test_inferiority_shared_triangle(self):
         C = np.array([[0, 0, 1], [0, 0, 1]])
-        assert user_inferiority(0, 1, INTRO_S, C) == pytest.approx(0.4, abs=1e-12)
+        np.testing.assert_allclose(inferiority_by_user(INTRO_S, C), [0.4, 0.0],
+                                   rtol=0, atol=1e-12)
 
     def test_inferiority_disjoint_lists(self):
         C = np.array([[1, 0, 0], [0, 1, 0]])
-        assert user_inferiority(0, 1, INTRO_S, C) == 0.0
+        assert inferiority_by_user(INTRO_S, C).tolist() == [0.0, 0.0]
 
     def test_inferiority_second_toy(self):
         C = np.array([[0, 1, 0], [0, 1, 0]])
-        assert user_inferiority(1, 0, SECOND_TOY, C) == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_allclose(inferiority_by_user(SECOND_TOY, C), [0.0, 0.3],
+                                   rtol=0, atol=1e-12)
 
     def test_inferiority_counts_item_once(self):
         C = np.array([[0, 2, 0], [0, 3, 0]])
-        assert user_inferiority(1, 0, SECOND_TOY, C) == pytest.approx(0.3, abs=1e-12)
+        assert oracles.inferiority_user(1, 0, SECOND_TOY, C) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestSystemLevel:
@@ -122,7 +123,8 @@ class TestSystemLevel:
     def test_envy_antisymmetric_for_equal_utility_rows(self):
         U = np.tile(np.array([[0.2, 0.5, 0.8, 0.4]]), (2, 1))
         C = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
-        assert user_envy(0, 1, U, C) == pytest.approx(-user_envy(1, 0, U, C), abs=1e-12)
+        envy = pair_envy_matrix(U, C, 1)
+        assert envy[0, 1] == pytest.approx(-envy[1, 0], abs=1e-12)
 
     def test_matches_bruteforce_on_small_instances(self):
         rng = np.random.default_rng(7)

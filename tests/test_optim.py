@@ -189,10 +189,12 @@ class TestTrainConfig:
 
 
     @pytest.mark.parametrize("field, value", [
-        ("k", 2.5), ("k", True), ("k", 0), ("k", "2"), ("seed", 1.5), ("seed", True)])
+        ("k", 2.5), ("k", True), ("k", 0), ("k", "2"), ("seed", 1.5), ("seed", True),
+        ("seed", -1)])
     def test_k_and_seed_must_be_integers(self, field, value):
+        # numpy's generators take no negative seed, so the setting refuses one
         settings = {"k": 2, "weights": LossWeights(1, 1, 1), field: value}
-        phrase = "an integer >= 1" if field == "k" else "an integer"
+        phrase = "an integer >= 1" if field == "k" else "an integer >= 0"
         with pytest.raises(ValueError, match=re.escape(f"{field} must be {phrase}, got {value!r}")):
             TrainConfig(**settings)
 
