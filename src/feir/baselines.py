@@ -141,9 +141,15 @@ def round_robin(U, S, k: int, config: RRConfig) -> CountMatrix:
 
     Each turn a user takes their highest-utility item among those still
     available to them with suitability above tau; when no item passes the
-    threshold the turn falls back to plain highest utility. With exclusive
-    allocation an item is handed out at most once overall, which makes all
-    lists pairwise disjoint (and requires m*k <= n).
+    threshold the turn falls back to plain highest utility. Ties go to the
+    lowest item index. With exclusive allocation an item is handed out at
+    most once overall, which makes all lists pairwise disjoint (and requires
+    m*k <= n).
+
+    Without it users do not interact, so no turns are played: a user's list
+    is their k highest-utility items among those with suitability above tau,
+    or, when fewer than k pass, every item that passes and their
+    highest-utility others, both by `top_k` (which breaks ties the same way).
     """
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -155,16 +161,21 @@ def round_robin(U, S, k: int, config: RRConfig) -> CountMatrix:
             f"m*k = {m * k} exceeds n = {n}: exclusive allocation is infeasible; "
             "lower k or pass exclusive=False"
         )
+    preferred = S > config.tau
+    if not config.exclusive:
+        key = np.where(preferred, U, -np.inf)
+        short = preferred.sum(axis=1) < k
+        key[short] = np.where(preferred[short], np.inf, U[short])
+        return top_k(key, k)
     order = np.random.default_rng(config.seed).permutation(m)
     C = np.zeros((m, n), dtype=np.int64)
     taken = np.zeros(n, dtype=bool)
     for _ in range(k):
         for i in order:
-            available = C[i] == 0
-            if config.exclusive:
-                available &= ~taken
-            preferred = available & (S[i] > config.tau)
-            pick_from = preferred if preferred.any() else available
+            available = (C[i] == 0) & ~taken
+            pick_from = available & preferred[i]
+            if not pick_from.any():
+                pick_from = available
             j = int(np.argmax(np.where(pick_from, U[i], -np.inf)))
             C[i, j] = 1
             taken[j] = True

@@ -15,6 +15,7 @@ import secrets
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -418,7 +419,8 @@ class ScorePair:
     (user competitiveness for each item), both m x n with entries strictly
     inside (0, 1). When the same array is passed for both (as `single`
     does), the pair holds one frozen copy of it and is `shared`; two arrays
-    stay two copies, even when they are equal.
+    stay two copies, even when they are equal. Nothing is sorted when a pair
+    is made.
     """
 
     U: np.ndarray
@@ -459,6 +461,16 @@ class ScorePair:
     @property
     def n(self) -> int:
         return self.U.shape[1]
+
+    @cached_property
+    def _order(self):
+        """S's `losses.SuitabilityOrder`, sorted by the first fit that trains
+        on it (see `optim.fit`) and then held for the pair's lifetime, and
+        shared by every later fit: three m x n arrays, and a fourth once a
+        minibatch fit has run."""
+        from .losses import SuitabilityOrder  # losses imports this module
+
+        return SuitabilityOrder(self.S)
 
 
 def load_scores(u_path, s_path=None) -> ScorePair:

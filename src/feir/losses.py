@@ -191,10 +191,12 @@ class SuitabilityOrder:
     (`_gather`), and leaves by one take into an item-major staging view and
     one transposed copy (`_scatter`).
 
-    S never changes during a fit, so one order serves all of it. The
-    training kernel (`_inferiority_loss_grad`) writes its intermediates into
-    the order's workspace, allocated and sliced on its first call and reused
-    by every later one, so one order must not run two kernel calls at once.
+    An order never changes once built, so one order of S serves every fit
+    on it, from any number of threads. The training kernel
+    (`_inferiority_loss_grad`) writes its intermediates into a workspace
+    (`_workspace`) that belongs to its caller, not to the order: a fit holds
+    its own for all of its steps, and one workspace must not serve two
+    kernel calls at once.
     """
 
     def __init__(self, S):
@@ -205,17 +207,20 @@ class SuitabilityOrder:
         ranked = np.argsort(S.T, axis=1)
         # flat index, in user coordinates, that each sorted entry [p, r, c]
         # reads: item 2p + c's (item n - 1's in the padding lane of an odd n)
-        lanes = np.minimum(np.arange(2 * pairs), n - 1)
-        reads = ranked[lanes]
-        reads *= n
-        reads += lanes[:, None]
-        self._flat = np.ascontiguousarray(reads.reshape(pairs, 2, m).transpose(0, 2, 1))
+        self._flat = np.empty((pairs, m, 2), dtype=np.intp)
+        for c in (0, 1):
+            lane = self._flat[: (n + 1 - c) // 2, :, c]
+            np.multiply(ranked[c::2], n, out=lane)
+            lane += np.arange(c, n, 2)[:, None]
+        if n % 2:
+            self._flat[-1, :, 1] = self._flat[-1, :, 0]
         # item j = 2p + c's entry for user u, [j, u] in item-major order, holds
         # the flat sorted index 2 (p m + r) + c of u's sorted position r
-        slot = np.arange(reads.size).reshape(pairs, m, 2).transpose(0, 2, 1).reshape(2 * pairs, m)
-        ranked += np.arange(n)[:, None] * m
+        item = np.arange(n)
+        slot = np.add(np.arange(0, 2 * m, 2), ((item - item % 2) * m + item % 2)[:, None])
+        ranked += item[:, None] * m
         self._inverse = np.empty((n, m), dtype=np.intp)
-        self._inverse.reshape(-1)[ranked] = slot[:n]
+        self._inverse.reshape(-1)[ranked] = slot
         self._gap = np.diff(S.take(self._flat), axis=1)
 
     def _empty(self, z=None) -> _Sorted:
@@ -234,15 +239,11 @@ class SuitabilityOrder:
         np.copyto(out, stage.T)
         return out
 
-    @cached_property
-    def _workspace(self) -> tuple[np.ndarray, ...]:
-        # the training kernel's five intermediates, m x n floats each (and
-        # one padding lane for an odd n)
-        return tuple(np.empty(self._flat.shape[:2], dtype=complex) for _ in range(5))
-
-    @cached_property
-    def _kernel_views(self) -> tuple[_Sorted, ...]:
-        return tuple(self._empty(z) for z in self._workspace)
+    def _workspace(self) -> tuple[_Sorted, ...]:
+        """A fresh workspace for the training kernel: its five
+        intermediates, m x n floats each (and one padding lane for an odd
+        n), each sliced into the views it is read and written through."""
+        return tuple(self._empty() for _ in range(5))
 
     @cached_property
     def _users(self) -> np.ndarray:
@@ -301,28 +302,30 @@ class SuitabilityOrder:
         return self._scatter(ws, np.empty(ws.T.shape), above)
 
 
-def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, *, out=None):
+def _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=None, *, out=None, workspace=None):
     """Expected inferiority summed over ordered pairs (i in f_rows, t any other
     user), divided by m_norm, plus its gradient w.r.t. every row of P.
     f_rows holds distinct users, so it measures every user when it has m.
 
     `order` is S's SuitabilityOrder when the caller holds one (None builds
-    it). The work runs in the order's sorted coordinates and workspace: P is
-    gathered once, 1 - P is shared by q = 1 - (1-P)^k and q' = k (1-P)^(k-1),
-    and only the loss terms and the gradient are scattered back, both into
-    `out` (float, P's shape, not P), which None allocates: the one m x n
-    array such a call allocates.
+    it), and `workspace` the caller's `order._workspace()` (None allocates
+    one). The work runs in the order's sorted coordinates and the workspace:
+    P is gathered once, 1 - P is shared by q = 1 - (1-P)^k and
+    q' = k (1-P)^(k-1), and only the loss terms and the gradient are
+    scattered back, both into `out` (float, P's shape, not P), which None
+    allocates: a call given all three allocates no m x n array.
     """
     if order is None:
         order = SuitabilityOrder(S)
-    stage, slope, hit, shortfall, x = order._kernel_views
+    if workspace is None:
+        workspace = order._workspace()
+    stage, slope, hit, shortfall, x = workspace
     q, qg = hit.a, slope.a
     k = int(k)
     order._gather(P, slope)
     with np.errstate(over="ignore"):  # as in hit_probability
         np.subtract(1.0, qg, out=qg)
-        np.copyto(q, qg)
-        q **= k
+        np.power(qg, k, out=q)
         np.subtract(1.0, q, out=q)
         qg **= k - 1
         qg *= k

@@ -176,13 +176,15 @@ class Objective:
 
     It checks U, S and the parametrization once and holds what no step
     changes: the full view, the weighted utility gradient of a view over
-    every user and item, and S's order, sorted on the first step that
-    evaluates inferiority on a view covering every user and item (a sampled
-    view sorts its sub-instance). It also holds the step's m x n buffers,
-    which every step writes into: P (logits only), the gradient and one
-    scratch array. So the gradient a call returns may be overwritten by the
-    next call (copy it to keep it), and one objective must not run two
-    calls at once.
+    every user and item, and S's order: `order` when the caller holds one
+    (`fit` passes its pair's), else sorted on the first step that evaluates
+    inferiority on a view covering every user and item (a sampled view sorts
+    its sub-instance). It also holds the step's m x n buffers, which every
+    step writes into: P (logits only), the gradient, one scratch array and,
+    from that first step, the inferiority kernel's workspace. So the
+    gradient a call returns may be overwritten by the next call (copy it to
+    keep it), and one objective must not run two calls at once; objectives
+    that share an order share none of these.
 
     A term whose weight is 0 is not evaluated at all: no loss, no gradient,
     and its LossBreakdown field is None; with w2 = 0, S is never sorted.
@@ -191,12 +193,15 @@ class Objective:
     and every computed field equal those of the sum over every term.
     """
 
-    def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits"):
+    def __init__(self, U, S, k: int, weights: LossWeights, parametrization: str = "logits", *,
+                 order: SuitabilityOrder | None = None):
         U = np.asarray(U, dtype=float)
         S = np.asarray(S, dtype=float)
         if U.shape != S.shape:
             raise DimensionError(f"shape mismatch: U {U.shape}, S {S.shape}")
         self.U, self.S, self.k, self.weights = U, S, k, weights
+        if order is not None:  # fills the cached property below
+            self.order = order
         self.logits = checked(PARAMETRIZATION, "parametrization", parametrization) == "logits"
         self._full = _full_view(*U.shape)
         # w3 times the utility gradient -(k/m) U, which does not depend on P
@@ -207,6 +212,10 @@ class Objective:
     @cached_property
     def order(self) -> SuitabilityOrder:
         return SuitabilityOrder(self.S)
+
+    @cached_property
+    def _workspace(self) -> tuple:
+        return self.order._workspace()
 
     @np.errstate(over="ignore", invalid="ignore")  # divergence surfaces via _check_finite
     def __call__(self, params: np.ndarray,
@@ -234,13 +243,16 @@ class Objective:
         l_e = l_f = l_u = grad = None
         if w.w1:
             l_e, grad = _envy_loss_grad(Uv, Pv, k, mv, out=G, scratch=scratch)
-            grad *= w.w1
+            if w.w1 != 1.0:  # x * 1.0 is x for every float
+                grad *= w.w1
         if w.w2:
-            # a sampled view sorts its sub-instance
-            order = self.order if whole else None
+            # a sampled view sorts its sub-instance into a fresh workspace
+            order, workspace = (self.order, self._workspace) if whole else (None, None)
             l_f, g_f = _inferiority_loss_grad(Sv, Pv, k, view.f_rows, mv, order=order,
-                                              out=G if grad is None else scratch)
-            g_f *= w.w2
+                                              out=G if grad is None else scratch,
+                                              workspace=workspace)
+            if w.w2 != 1.0:
+                g_f *= w.w2
             if grad is None:
                 grad = g_f
             else:
@@ -338,12 +350,23 @@ def fit(scores: ScorePair, config: TrainConfig) -> TrainTrace:
     Logits mode starts from Z = the upstream scores, so the initial policy is
     their row softmax; direct mode starts from that softmax itself. Stops when
     the relative total-loss change over a 10-step window drops below
-    convergence_tol, or at max_steps.
+    convergence_tol, or at max_steps. Fits on one pair may run at once: what
+    they share of it (S's sort) none of them writes to.
     """
     U, S, n = scores.U, scores.S, scores.n
     if not (1 <= config.k <= n):
         raise ValueError(f"k={config.k} outside [1, {n}]")
-    objective = Objective(U, S, config.k, config.weights, config.parametrization)
+    # Every view of these kinds covers every user and item, so a fit that
+    # weighs inferiority trains on the pair's order. The first such fit
+    # builds it here, before the fit allocates: arrays held past the fit but
+    # made after its buffers would keep the heap from shrinking when those
+    # are freed. The index of users that a minibatch reads is held too.
+    order = None
+    if config.weights.w2 and config.scaling.kind in ("none", "minibatch"):
+        order = scores._order
+        if config.scaling.kind == "minibatch":
+            order._users
+    objective = Objective(U, S, config.k, config.weights, config.parametrization, order=order)
     params = U.copy() if objective.logits else row_softmax(U)
 
     breakdowns: list[LossBreakdown] = []

@@ -253,6 +253,29 @@ def top_k_argsort(M, k):
     return CountMatrix(C=C, k=k)
 
 
+def round_robin_by_preference(U, S, k, tau, exclusive, seed):
+    """`baselines.round_robin` from each user's preference list: the items
+    with suitability above tau by decreasing utility, then the rest by
+    decreasing utility, ties to the lower index. Without exclusivity a list
+    is the head of its user's preferences; with it, users take turns in the
+    seeded order, each taking its first preferred item that nobody holds."""
+    m, n = len(U), len(U[0])
+    prefs = [sorted(range(n), key=lambda j: (not S[i][j] > tau, -U[i][j], j)) for i in range(m)]
+    C = np.zeros((m, n), dtype=np.int64)
+    if not exclusive:
+        for i in range(m):
+            C[i, prefs[i][:k]] = 1
+        return C
+    taken = set()
+    turns = np.random.default_rng(seed).permutation(m)
+    for _ in range(k):
+        for i in turns:
+            j = next(j for j in prefs[i] if j not in taken)
+            C[i, j] = 1
+            taken.add(j)
+    return C
+
+
 def loss_and_grad_every_term(U, S, params, k, weights, parametrization="logits", view=None):
     """`optim.loss_and_grad` as it was before zero-weight terms skipped their
     gradient: every term's loss and gradient are computed on the view's

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from feir.baselines import (
@@ -218,6 +220,21 @@ class TestRoundRobin:
         seed = identity_order_seed(2)
         C = round_robin(U, S, 1, RRConfig(tau=0.5, seed=seed))
         assert C.C[0].tolist() == [0, 1, 0]
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), exclusive=st.booleans(),
+           data=st.data())
+    def test_matches_preference_lists(self, seed, n, exclusive, data):
+        # exclusive lists need m*k <= n; one-decimal scores tie often, and
+        # tau 0.3 and 0.5 tie some suitabilities with the threshold
+        m = data.draw(st.integers(1, n if exclusive else 8), label="m")
+        k = data.draw(st.integers(1, n // m if exclusive else n), label="k")
+        tau = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.95]), label="tau")
+        rng = np.random.default_rng(seed)
+        U, S = np.round(rng.uniform(0.01, 0.99, (2, m, n)), 1)
+        config = RRConfig(tau=tau, seed=seed % 7, exclusive=exclusive)
+        np.testing.assert_array_equal(
+            round_robin(U, S, k, config).C,
+            oracles.round_robin_by_preference(U, S, k, tau, exclusive, config.seed))
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

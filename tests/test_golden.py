@@ -10,6 +10,13 @@ point that the runs evaluate, its metrics at full precision. A change that
 alters any output bit or metric bit fails the test, which names the files
 that differ; `scripts/update_golden.py` rewrites the manifest when a change
 to the outputs is meant.
+
+The digests hold only where the outputs were pinned: numpy dispatches the
+float64 ufuncs in DISPATCHED to a kernel for the widest SIMD target the CPU
+has, and two targets disagree in the last bit of some results (on 10^6
+inputs, exp on 45,920 and power on 53,317). So the manifest also records
+the environment (`environment()`), and elsewhere the test skips, naming
+each difference.
 """
 
 import hashlib
@@ -17,10 +24,17 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy
+
 from feir import pareto
 from feir.cli import cmd_generate, cmd_report, cmd_run
 
 MANIFEST = Path(__file__).with_name("golden.json")
+
+# the float64 ufuncs behind the outputs whose kernel numpy picks by SIMD target
+DISPATCHED = ("exp", "log", "log1p", "power")
 
 GENERATE_CONFIGS = [
     {"seed": 3, "dataset": {"family": "random", "m": 6, "n": 9}},
@@ -79,6 +93,22 @@ def build(root: Path) -> Path:
     return root
 
 
+def environment() -> dict:
+    """numpy's and scipy's versions and, for each float64 loop of the
+    ufuncs in DISPATCHED, the SIMD target it runs on (not recorded by numpy
+    before 2.0, which cannot say)."""
+    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return env
+    info = opt_func_info(func_name=f"^({'|'.join(DISPATCHED)})$", signature="float64")
+    for name, loops in sorted(info.items()):
+        for signature, loop in sorted(loops.items()):
+            env[f"{name} {signature}"] = loop["current"]
+    return env
+
+
 def digests(root: Path) -> dict:
     """The SHA-256 of every file under root, by its POSIX path relative to root."""
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -86,7 +116,13 @@ def digests(root: Path) -> dict:
 
 
 def test_outputs_match_golden_manifest(tmp_path):
-    expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    pinned, here = manifest["environment"], environment()
+    off = sorted(key for key in pinned.keys() | here.keys() if pinned.get(key) != here.get(key))
+    if off:
+        pytest.skip("digests pinned in another environment: " + "; ".join(
+            f"{key} is {here.get(key)}, pinned {pinned.get(key)}" for key in off))
+    expected = manifest["files"]
     actual = digests(build(tmp_path))
     differ = sorted(name for name in expected.keys() | actual.keys()
                     if expected.get(name) != actual.get(name))

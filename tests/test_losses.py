@@ -243,9 +243,10 @@ class TestInferiorityKernel:
         np.testing.assert_allclose(G, ref_grad, rtol=1e-12, atol=0.0)
 
 
-def assert_same_as_rank_major(order, S, P, k, f_rows, m_norm):
-    """The item-major kernel on `order` gives the frozen rank-major kernel's bits."""
-    loss, grad = _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=order)
+def assert_same_as_rank_major(order, S, P, k, f_rows, m_norm, workspace=None):
+    """The item-major kernel on `order` (and `workspace`) gives the frozen
+    rank-major kernel's bits."""
+    loss, grad = _inferiority_loss_grad(S, P, k, f_rows, m_norm, order=order, workspace=workspace)
     ref_loss, ref_grad = oracles.inferiority_loss_grad_rank_major(S, P, k, f_rows, m_norm)
     assert loss == ref_loss
     np.testing.assert_array_equal(grad, ref_grad)
@@ -271,8 +272,10 @@ class TestItemMajorOrder:
         f_rows = np.array(f_rows, dtype=int)
         m_norm = float(max(1, f_rows.size))
         order = SuitabilityOrder(S)
+        workspace = order._workspace()
         for _ in range(2):  # the second call reuses the workspace
-            assert_same_as_rank_major(order, S, P, k, f_rows, m_norm)
+            assert_same_as_rank_major(order, S, P, k, f_rows, m_norm, workspace)
+        assert_same_as_rank_major(order, S, P, k, f_rows, m_norm)
         assert_same_as_rank_major(None, S, P, k, f_rows, m_norm)
 
     @pytest.mark.parametrize("f_rows", [np.arange(200), np.arange(3, 200, 10), np.array([7])])
@@ -344,39 +347,45 @@ class TestItemMajorOrder:
                 assert not np.array_equal(a[:, j], b[:, j])
 
 class TestKernelWorkspace:
-    """The kernel's per-order workspace carries nothing from one call to the next."""
+    """A caller's workspace carries nothing from one kernel call to the next."""
 
     def test_interleaved_orders(self):
         rng = np.random.default_rng(11)
         shapes = [(6, 9), (9, 6)]
         S = [np.round(rng.uniform(0, 1, shape), 1) for shape in shapes]
         orders = [SuitabilityOrder(s) for s in S]
+        workspaces = [order._workspace() for order in orders]
         for step in range(6):
-            for s, order in zip(S, orders):
+            for s, order, workspace in zip(S, orders, workspaces):
                 m, n = s.shape
                 P = random_policy(rng, m, n) if step % 2 else rng.uniform(-0.5, 1.5, (m, n))
                 f_rows = np.arange(m) if step % 3 else np.array([step % m])
-                assert_same_as_rank_major(order, s, P, 1 + step % n, f_rows, m)
+                assert_same_as_rank_major(order, s, P, 1 + step % n, f_rows, m, workspace)
 
     def test_one_order_with_changing_policy_and_k(self):
         rng = np.random.default_rng(12)
         S = np.round(rng.uniform(0, 1, (7, 11)), 1)
         order = SuitabilityOrder(S)
+        workspaces = [order._workspace(), order._workspace()]
         for k in (11, 1, 4, 2, 11, 3):
             P = random_policy(rng, 7, 11)
-            assert_same_as_rank_major(order, S, P, k, np.arange(7), 7)
-            assert_same_as_rank_major(order, S, P, k, np.array([1, 5]), 7)
+            for workspace in workspaces:  # two callers of one order, in turn
+                assert_same_as_rank_major(order, S, P, k, np.arange(7), 7, workspace)
+                assert_same_as_rank_major(order, S, P, k, np.array([1, 5]), 7, workspace)
 
     def test_gradient_is_a_fresh_array(self):
         rng = np.random.default_rng(13)
         S, P = rng.uniform(0, 1, (8, 12)), random_policy(rng, 8, 12)
         order = SuitabilityOrder(S)
-        loss, grad = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order)
+        workspace = order._workspace()
+        loss, grad = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order,
+                                            workspace=workspace)
         assert grad.flags.c_contiguous and grad.shape == (8, 12)
-        assert not any(np.shares_memory(grad, buffer) for buffer in order._workspace)
+        assert not any(np.shares_memory(grad, view.a) for view in workspace)
         expected = grad.copy()
         grad[...] = np.nan
-        again_loss, again = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order)
+        again_loss, again = _inferiority_loss_grad(S, P, 3, np.arange(8), 8, order=order,
+                                                   workspace=workspace)
         assert again_loss == loss
         np.testing.assert_array_equal(again, expected)
         assert not np.shares_memory(again, grad)
@@ -386,11 +395,12 @@ class TestKernelWorkspace:
         rng = np.random.default_rng(14)
         S, P = rng.uniform(0, 1, (m, n)), random_policy(rng, m, n)
         order = SuitabilityOrder(S)
+        workspace = order._workspace()
         everyone = np.arange(m)
-        _inferiority_loss_grad(S, P, 10, everyone, m, order=order)
+        _inferiority_loss_grad(S, P, 10, everyone, m, order=order, workspace=workspace)
         tracemalloc.start()
         try:
-            _inferiority_loss_grad(S, P, 10, everyone, m, order=order)
+            _inferiority_loss_grad(S, P, 10, everyone, m, order=order, workspace=workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

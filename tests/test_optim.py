@@ -332,7 +332,9 @@ class TestScalingEquivalence:
 
 
 class TestSharedOrder:
-    """S is sorted once per fit wherever every step sees every user and item."""
+    """S is sorted once per pair, by the first fit that weighs inferiority on
+    views over every user and item, and every later such fit on the pair
+    shares that sort; each fit keeps its own kernel workspace."""
 
     @pytest.mark.parametrize("scaling", [Scaling(), Scaling(kind="minibatch", b=2)])
     def test_one_sort_per_fit(self, order_builds, scaling):
@@ -342,12 +344,69 @@ class TestSharedOrder:
         assert fit(pair, config).step_count == 30
         assert order_builds == [(6, 8)]
 
+    def test_full_and_minibatch_fits_share_one_sort(self, order_builds):
+        pair = random_pair(4, 6, 8)
+        config = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=10,
+                             convergence_tol=0.0)
+        fit(pair, config)
+        fit(pair, replace(config, scaling=Scaling(kind="minibatch", b=2)))
+        assert order_builds == [(6, 8)]
+
+    def test_one_sort_per_run(self, tmp_path, order_builds):
+        config = {
+            "seed": 3, "ks": [2, 3], "dataset": {"family": "user_groups", "m": 6, "n": 9},
+            "methods": {"feir": {"weight_grid": [[1, 1, 1, 0], [0, 3, 1, 0], [1, 0.5, 1, 0]],
+                                 "max_steps": 10}},
+        }
+        cmd_run(config, tmp_path)
+        # evaluation sorts only each list's picks, never the whole of S
+        assert [shape for shape in order_builds if shape == (6, 9)] == [(6, 9)]
+
+    def test_fits_without_inferiority_sort_nothing(self, order_builds):
+        pair = random_pair(4, 6, 8)
+        for weights, scaling in [(LossWeights(1, 0, 1, 0), Scaling()),
+                                 (LossWeights(0, 0, 1, 0), Scaling(kind="minibatch", b=2))]:
+            fit(pair, TrainConfig(k=2, weights=weights, max_steps=5, scaling=scaling))
+        assert order_builds == []
+
     def test_sampled_views_sort_their_sub_instance(self, order_builds):
         pair = random_pair(4, 6, 8)
         config = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=5,
                              convergence_tol=0.0, scaling=Scaling(kind="user_sample", m_s=3))
         fit(pair, config)
         assert order_builds == [(3, 8)] * 5
+
+    def test_fits_keep_their_own_workspace(self, monkeypatch):
+        workspaces = []
+        kernel = optim._inferiority_loss_grad
+
+        def recording(*args, workspace=None, **kwargs):
+            workspaces.append(workspace)
+            return kernel(*args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(optim, "_inferiority_loss_grad", recording)
+        pair = random_pair(4, 6, 8)
+        config = TrainConfig(k=2, weights=LossWeights(1, 1, 1, 0), max_steps=3,
+                             convergence_tol=0.0)
+        fit(pair, config)
+        fit(pair, replace(config, scaling=Scaling(kind="minibatch", b=2)))
+        first, second = workspaces[0], workspaces[3]
+        # each fit reuses its own workspace on every step
+        assert all(w is first for w in workspaces[:3]) and all(w is second for w in workspaces[3:])
+        assert not any(np.shares_memory(a.a, b.a) for a in first for b in second)
+
+    @pytest.mark.parametrize("parametrization", ["logits", "direct"])
+    @pytest.mark.parametrize("scaling", [Scaling(), Scaling(kind="minibatch", b=2)])
+    def test_held_sort_gives_the_fresh_pairs_bits(self, parametrization, scaling):
+        held = random_pair(5, 6, 8)
+        config = TrainConfig(k=3, weights=LossWeights(1, 3, 1, 0.5), learning_rate=0.01,
+                             max_steps=20, convergence_tol=0.0, parametrization=parametrization,
+                             scaling=scaling)
+        fit(held, replace(config, weights=LossWeights(0.3, 1, 1, 0.5), seed=9))
+        assert "_order" in vars(held)
+        again, fresh = fit(held, config), fit(random_pair(5, 6, 8), config)
+        assert again.steps == fresh.steps
+        assert again.final_policy.P.tobytes() == fresh.final_policy.P.tobytes()
 
 
 class TestViewLossAndGradient:
@@ -615,7 +674,7 @@ class TestHeldBuffers:
         objective = optim.Objective(pair.U, pair.S, 10, LossWeights(1, 3, 1), parametrization)
         params = pair.U.copy() if parametrization == "logits" else row_softmax(pair.U)
         view = make_training_view(pair, scaling, 0, seed=3)
-        objective(params, view)  # sorts S and allocates the order's workspace
+        objective(params, view)  # sorts S and allocates the kernel's workspace
         tracemalloc.start()
         try:
             objective(params, view)
